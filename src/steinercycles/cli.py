@@ -176,24 +176,18 @@ def _cmd_harness(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes; currently always sequential, "
-                             "the flag is validated and recorded only")
-
     parser = argparse.ArgumentParser(
         prog="steinercycles",
         description="Arc-disjoint Steiner cycle packing toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[common],
-                       help="maximum packing for one terminal set")
+    p = sub.add_parser("solve", help="maximum packing for one terminal set")
     p.add_argument("--graph", required=True)
     p.add_argument("--S", required=True, metavar="V,V,...")
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("lambda-k", parents=[common],
+    p = sub.add_parser("lambda-k",
                        help="minimum packing value over all k-sets")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
@@ -203,15 +197,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         "equivalent under automorphisms (complete digraphs)")
     p.set_defaults(func=_cmd_lambda_k)
 
-    p = sub.add_parser("formula", parents=[common],
+    p = sub.add_parser("formula",
                        help="closed-form table for a digraph family")
     p.add_argument("--family", required=True,
                    help="complete:N | bipartite:T,Z | multipartite:WxL")
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=_cmd_formula)
 
-    p = sub.add_parser("gadget", parents=[common],
-                       help="emit a reduction gadget")
+    p = sub.add_parser("gadget", help="emit a reduction gadget")
     p.add_argument("kind", choices=("eulerian", "planar", "replacement"))
     p.add_argument("--graph", required=True)
     p.add_argument("--terminals", metavar="s1,t1,s2,t2", default=None)
@@ -223,26 +216,24 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="channels per edge (replacement)")
     p.set_defaults(func=_cmd_gadget)
 
-    p = sub.add_parser("decompose", parents=[common],
+    p = sub.add_parser("decompose",
                        help="partition all arcs into Hamiltonian cycles")
     p.add_argument("--graph", required=True)
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("flow-decompose", parents=[common],
+    p = sub.add_parser("flow-decompose",
                        help="split a flow into path and cycle terms")
     p.add_argument("--network", required=True)
     p.set_defaults(func=_cmd_flow_decompose)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="check a witness file against a digraph")
+    p = sub.add_parser("verify", help="check a witness file against a digraph")
     p.add_argument("--graph", required=True)
     p.add_argument("--witness", required=True)
     p.add_argument("--S", required=True, metavar="V,V,...")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("harness", parents=[common],
-                       help="run a reduction-equivalence corpus")
+    p = sub.add_parser("harness", help="run a reduction-equivalence corpus")
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -255,11 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
-    if args.workers > 1:
-        _note(f"--workers {args.workers} requested; running sequentially")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -5,17 +5,16 @@ are allowed (each occurrence is a separate instance, identified by its
 position in the arc list) but loops never are.  A digraph is *simple* when
 every arc has multiplicity one.
 
-The planarity test is exact but exponential in the worst case: after an
-Euler-bound shortcut and a degree-2 reduction it searches exhaustively for a
-K5 or K3,3 subdivision.  It is meant for the instance sizes the rest of the
-package produces (a few dozen vertices), not for bulk graph processing.
+The planarity test is exact and runs in O(n + m) time: after Euler's edge
+bound it runs the left-right test (de Fraysseix and Rosenstiehl; U. Brandes,
+"The Left-Right Planarity Test", 2009) on each connected component.  It
+returns a verdict only and builds no embedding.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from functools import cached_property
-from itertools import combinations
 
 
 class MultiDigraph:
@@ -98,13 +97,18 @@ class MultiDigraph:
 class Graph:
     """An undirected simple graph; edges stored as sorted pairs."""
 
-    __slots__ = ("vertex_count", "edges")
+    __slots__ = ("vertex_count", "edges", "_adjacency")
 
     def __init__(self, vertex_count: int, edges):
         self.vertex_count = vertex_count
         self.edges = frozenset(
             (min(int(u), int(v)), max(int(u), int(v))) for (u, v) in edges
         )
+        adjacency = [[] for _ in range(vertex_count)]
+        for (u, v) in self.edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        self._adjacency = tuple(tuple(sorted(ns)) for ns in adjacency)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -118,10 +122,11 @@ class Graph:
         return f"Graph(n={self.vertex_count}, m={len(self.edges)})"
 
     def neighbors(self, v: int) -> tuple:
-        return tuple(sorted(b if a == v else a for (a, b) in self.edges if v in (a, b)))
+        """Neighbours of v, ascending."""
+        return self._adjacency[v]
 
     def degree(self, v: int) -> int:
-        return sum(1 for (a, b) in self.edges if v in (a, b))
+        return len(self._adjacency[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
@@ -245,122 +250,195 @@ def subdivide_arc(d: MultiDigraph, arc) -> MultiDigraph:
 
 
 # ---------------------------------------------------------------------------
-# Planarity: Euler bound, degree-2 reduction, exhaustive Kuratowski search.
+# Planarity: Euler bound, then the left-right test on each component.
 # ---------------------------------------------------------------------------
 
 
-def _reduce_for_planarity(adj: dict) -> dict:
-    """Trim degree <=1 vertices and suppress degree-2 vertices.
+def _component_is_planar(adj, root: int, height: list) -> bool:
+    """Left-right planarity test of the component of `root` (Brandes 2009).
 
-    Suppression of a degree-2 vertex merges its two incident edges; it is
-    skipped when it would create a parallel edge, which keeps the reduction
-    conservative (subdivision-preserving in both directions).
+    Phase 1 orients each edge by a DFS from `root`, tree edges downwards and
+    back edges upwards, and gives each oriented edge its lowpoint, second
+    lowpoint and nesting depth.  Phase 2 repeats the DFS with the edges out
+    of each vertex in nesting-depth order.  It keeps a stack of conflict
+    pairs: two intervals of return edges that must lie on opposite sides of
+    the tree path.  The component is planar iff no return edge is forced
+    onto both sides.  Edges are (tail, head) pairs, and a conflict pair is
+    the list [left low, left high, right low, right high], each side linked
+    from high to low through `ref`.  Both phases use explicit stacks.
+    `height` maps each vertex to its DFS depth, None while unvisited; the
+    call fills it for the component.
     """
-    adj = {v: set(ns) for v, ns in adj.items()}
-    changed = True
-    while changed:
-        changed = False
-        for v in list(adj):
-            ns = adj.get(v)
-            if ns is None:
+    height[root] = 0
+    parent_edge = {root: None}
+    lowpt, lowpt2, nesting = {}, {}, {}
+
+    def finish(e):
+        # e = (v, w) is done: set its nesting depth, pass its lowpoints up
+        v = e[0]
+        low = lowpt[e]
+        nesting[e] = 2 * low + (lowpt2[e] < height[v])
+        p = parent_edge[v]
+        if p is None:
+            return
+        if low < lowpt[p]:
+            lowpt2[p] = min(lowpt[p], lowpt2[e])
+            lowpt[p] = low
+        elif low > lowpt[p]:
+            lowpt2[p] = min(lowpt2[p], low)
+        else:
+            lowpt2[p] = min(lowpt2[p], lowpt2[e])
+
+    # phase 1: an edge is oriented once lowpt holds it
+    stack, pos = [root], {root: 0}
+    while stack:
+        v = stack[-1]
+        nbrs = adj[v]
+        i = pos[v]
+        while i < len(nbrs):
+            w = nbrs[i]
+            i += 1
+            if (w, v) in lowpt:
                 continue
-            if len(ns) <= 1:
-                for w in ns:
-                    adj[w].discard(v)
-                del adj[v]
-                changed = True
-            elif len(ns) == 2:
-                a, b = sorted(ns)
-                if b not in adj[a]:
-                    adj[a].discard(v)
-                    adj[b].discard(v)
-                    adj[a].add(b)
-                    adj[b].add(a)
-                    del adj[v]
-                    changed = True
-    return adj
+            e = (v, w)
+            lowpt[e] = lowpt2[e] = height[v]
+            if height[w] is None:
+                parent_edge[w] = e
+                height[w] = height[v] + 1
+                pos[v], pos[w] = i, 0
+                stack.append(w)
+                break
+            lowpt[e] = height[w]
+            finish(e)
+        else:
+            stack.pop()
+            if parent_edge[v] is not None:
+                finish(parent_edge[v])
 
+    # bucket sort by nesting depth, which is below twice the vertex count
+    buckets = [[] for _ in range(2 * len(parent_edge))]
+    for e, depth in nesting.items():
+        buckets[depth].append(e)
+    ordered = {v: [] for v in parent_edge}
+    for bucket in buckets:
+        for (v, w) in bucket:
+            ordered[v].append(w)
 
-def _paths_embedding(adj: dict, pairs, branch: set) -> bool:
-    """Try to route internally disjoint paths for every pair in `pairs`.
+    S = []
+    bottom, ref = {}, {}
 
-    Internal vertices must avoid `branch` and be globally unused.  Exhaustive
-    backtracking; returns True when a full routing exists.
-    """
-    used = set()
+    def conflicting(high, b):
+        return high is not None and lowpt[high] > lowpt[b]
 
-    def route(idx: int) -> bool:
-        if idx == len(pairs):
-            return True
-        a, b = pairs[idx]
+    def lowest(P):
+        if P[1] is None:
+            return lowpt[P[2]]
+        if P[3] is None:
+            return lowpt[P[0]]
+        return min(lowpt[P[0]], lowpt[P[2]])
 
-        def dfs(v: int, local: list) -> bool:
-            for w in sorted(adj[v]):
-                if w == b:
-                    for x in local:
-                        used.add(x)
-                    if route(idx + 1):
-                        return True
-                    for x in local:
-                        used.discard(x)
-                elif w not in branch and w not in used and w not in local and w in adj:
-                    local.append(w)
-                    if dfs(w, local):
-                        return True
-                    local.pop()
-            return False
+    def add_constraints(ei, e):
+        P = [None, None, None, None]
+        # return edges of ei go to the right of P, or are aligned with e
+        while True:
+            Q = S.pop()
+            if Q[1] is not None:
+                Q = Q[2:] + Q[:2]
+            if Q[1] is not None:
+                return False
+            if lowpt[Q[2]] > lowpt[e]:
+                if P[3] is None:
+                    P[3] = Q[3]
+                else:
+                    ref[P[2]] = Q[3]
+                P[2] = Q[2]
+            if len(S) == bottom[ei]:
+                break
+        # return edges of earlier siblings that conflict with ei go left
+        while S and (conflicting(S[-1][1], ei) or conflicting(S[-1][3], ei)):
+            Q = S.pop()
+            if conflicting(Q[3], ei):
+                Q = Q[2:] + Q[:2]
+            if conflicting(Q[3], ei):
+                return False
+            ref[P[2]] = Q[3]
+            if Q[2] is not None:
+                P[2] = Q[2]
+            if P[1] is None:
+                P[1] = Q[1]
+            else:
+                ref[P[0]] = Q[1]
+            P[0] = Q[0]
+        if P[1] is not None or P[3] is not None:
+            S.append(P)
+        return True
 
-        return dfs(a, [])
+    def integrate(ei):
+        # after ei = (v, w) is explored, constrain its return edges
+        v = ei[0]
+        if lowpt[ei] < height[v] and ei[1] != ordered[v][0]:
+            return add_constraints(ei, parent_edge[v])
+        return True
 
-    return route(0)
+    def trim(u):
+        # drop the return edges that end at u, the DFS parent just re-entered
+        while S and lowest(S[-1]) == height[u]:
+            S.pop()
+        if S:
+            P = S[-1]
+            for hi, lo in ((1, 0), (3, 2)):
+                while P[hi] is not None and P[hi][1] == u:
+                    P[hi] = ref.get(P[hi])
+                if P[hi] is None:
+                    P[lo] = None
 
-
-def _has_k5_subdivision(adj: dict) -> bool:
-    candidates = sorted(v for v, ns in adj.items() if len(ns) >= 4)
-    for branch in combinations(candidates, 5):
-        pairs = list(combinations(branch, 2))
-        if _paths_embedding(adj, pairs, set(branch)):
-            return True
-    return False
-
-
-def _has_k33_subdivision(adj: dict) -> bool:
-    candidates = sorted(v for v, ns in adj.items() if len(ns) >= 3)
-    for six in combinations(candidates, 6):
-        rest = six[1:]
-        for two in combinations(rest, 2):
-            side_a = (six[0],) + two
-            side_b = tuple(v for v in rest if v not in two)
-            pairs = [(a, b) for a in side_a for b in side_b]
-            if _paths_embedding(adj, pairs, set(six)):
-                return True
-    return False
+    # phase 2: S is the conflict-pair stack; bottom[e] is its size when
+    # the DFS entered e
+    stack, pos = [root], {root: 0}
+    while stack:
+        v = stack[-1]
+        ws = ordered[v]
+        i = pos[v]
+        while i < len(ws):
+            w = ws[i]
+            i += 1
+            ei = (v, w)
+            bottom[ei] = len(S)
+            if parent_edge[w] == ei:
+                pos[v], pos[w] = i, 0
+                stack.append(w)
+                break
+            S.append([None, None, ei, ei])
+            if not integrate(ei):
+                return False
+        else:
+            stack.pop()
+            e = parent_edge[v]
+            if e is not None:
+                trim(e[0])
+                if not integrate(e):
+                    return False
+    return True
 
 
 def graph_is_planar(g: Graph) -> bool:
-    """Exact planarity for a small undirected graph.
+    """Exact planarity test for an undirected simple graph, in O(n + m) time.
 
-    Applies the Euler bound (m > 3n - 6 forces nonplanarity for n >= 3),
-    reduces chains, then searches exhaustively for a K5 or K3,3 subdivision.
-    Planar iff neither subdivision exists (Kuratowski).
+    A graph with n >= 3 vertices and more than 3n - 6 edges is not planar
+    (Euler's bound).  Otherwise every connected component goes through the
+    left-right test of de Fraysseix and Rosenstiehl, in the form of
+    U. Brandes, "The Left-Right Planarity Test" (2009), and the graph is
+    planar iff each component is.  Only the verdict is computed; no
+    embedding is built.
     """
-    n, m = g.vertex_count, len(g.edges)
-    if n >= 3 and m > 3 * n - 6:
+    n = g.vertex_count
+    if n >= 3 and len(g.edges) > 3 * n - 6:
         return False
-    if m <= 8:
-        # K3,3 has 9 edges and K5 has 10, and subdivisions only add more.
-        return True
-    adj = {v: set() for v in range(n)}
-    for (u, v) in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    adj = _reduce_for_planarity(adj)
-    if sum(len(ns) for ns in adj.values()) // 2 <= 8:
-        return True
-    if _has_k5_subdivision(adj):
-        return False
-    if _has_k33_subdivision(adj):
-        return False
+    height = [None] * n
+    for root in range(n):
+        if height[root] is None and not _component_is_planar(
+                g._adjacency, root, height):
+            return False
     return True
 
 

@@ -203,15 +203,6 @@ def test_harness_eulerian_disagreement_exits_one(monkeypatch, capsys):
     assert lines[4] == "eulerian-004\tyes\tno\tno"
 
 
-def test_workers_validation(k4_file, capsys):
-    assert main(["solve", "--graph", k4_file, "--S", "0,1",
-                 "--workers", "0"]) == 2
-    assert "--workers must be at least 1" in capsys.readouterr().err
-    assert main(["solve", "--graph", k4_file, "--S", "0,1",
-                 "--workers", "4"]) == 0
-    assert "running sequentially" in capsys.readouterr().err
-
-
 def test_missing_file_is_a_clean_error(capsys):
     assert main(["solve", "--graph", "/no/such/file", "--S", "0,1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -19,6 +20,7 @@ from steinercycles import (
     underlying_graph,
     validate_terminals,
 )
+from steinercycles.harness import DEFAULT_SEED, planar_instances
 from helpers import nx_graph
 
 
@@ -144,6 +146,106 @@ def test_planarity_matches_networkx(seed):
     edges = [e for e in pairs if rng.random() < 0.45]
     g = build_graph(n, edges)
     assert graph_is_planar(g) == nx.check_planarity(nx_graph(g))[0]
+
+
+def _grid_edges(rows, cols, diagonals=False):
+    def at(i, j):
+        return i * cols + j
+    edges = [(at(i, j), at(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(at(i, j), at(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    if diagonals:
+        edges += [(at(i, j), at(i + 1, j + 1))
+                  for i in range(rows - 1) for j in range(cols - 1)]
+    return edges
+
+
+def _subdivided(n, edges, rng):
+    """Each edge becomes a path through 0-2 new vertices; returns (n, edges)."""
+    out = []
+    for (a, b) in edges:
+        inner = list(range(n, n + rng.randint(0, 2)))
+        n += len(inner)
+        path = [a] + inner + [b]
+        out += zip(path, path[1:])
+    return n, out
+
+
+def _planar_like_networkx(n, edges, rng):
+    """graph_is_planar on a random relabelling, checked against networkx."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    g = build_graph(n, [(perm[u], perm[v]) for (u, v) in edges])
+    verdict = graph_is_planar(g)
+    assert verdict == nx.check_planarity(nx_graph(g))[0]
+    return verdict
+
+
+@given(st.integers(0, 2 ** 30))
+def test_planarity_grids_with_chords_match_networkx(seed):
+    rng = random.Random(seed)
+    rows, cols = rng.choice([(r, c) for r in range(2, 9) for c in range(2, 9)
+                             if 10 <= r * c <= 40])
+    n = rows * cols
+    edges = _grid_edges(rows, cols, diagonals=rng.random() < 0.5)
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
+    _planar_like_networkx(n, edges, rng)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kuratowski", ["K5", "K3,3"])
+def test_planarity_kuratowski_subdivision_in_planar_host(kuratowski, seed):
+    rng = random.Random(seed)
+    n = 30
+    host = _grid_edges(5, 6, diagonals=True)
+    assert _planar_like_networkx(n, host, rng)
+    if kuratowski == "K5":
+        branch = rng.sample(range(n), 5)
+        pairs = [(a, b) for i, a in enumerate(branch) for b in branch[i + 1:]]
+    else:
+        branch = rng.sample(range(n), 6)
+        pairs = [(a, b) for a in branch[:3] for b in branch[3:]]
+    n, paths = _subdivided(n, pairs, rng)
+    assert not _planar_like_networkx(n, host + paths, rng)
+
+
+@given(st.integers(0, 2 ** 30))
+def test_planarity_components_cut_vertices_bridges_match_networkx(seed):
+    rng = random.Random(seed)
+    n, edges = 0, []
+    for _ in range(rng.randint(2, 4)):
+        size = rng.randint(3, 7)
+        glue = rng.choice(["apart", "cut vertex", "bridge"]) if n else "apart"
+        offset = n - 1 if glue == "cut vertex" else n
+        edges += [(offset + u, offset + v) for u in range(size)
+                  for v in range(u + 1, size) if rng.random() < 0.6]
+        if glue == "bridge":
+            edges.append((rng.randrange(n), offset + rng.randrange(size)))
+        n = offset + size
+    _planar_like_networkx(n + rng.randint(0, 2), edges, rng)
+
+
+def test_planarity_planar_gadget_outputs_plus_one_edge():
+    rng = random.Random(DEFAULT_SEED)
+    for _, _, gadget in planar_instances(50):
+        g = underlying_graph(gadget.digraph)
+        n = g.vertex_count
+        non_edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if not g.has_edge(u, v)]
+        _planar_like_networkx(n, sorted(g.edges) + [rng.choice(non_edges)], rng)
+
+
+def test_planarity_deep_grid_at_default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        grid = _grid_edges(60, 60)
+        assert graph_is_planar(build_graph(3600, grid))
+        # a subdivided K3,3 hanging off the far corner of the grid
+        k33 = [(a, b) for a in range(3600, 3603) for b in range(3603, 3606)]
+        n, k33 = _subdivided(3606, k33, random.Random(0))
+        assert not graph_is_planar(build_graph(n, grid + k33 + [(3599, 3600)]))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @given(st.integers(0, 2 ** 30))

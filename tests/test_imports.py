@@ -1,0 +1,28 @@
+"""The package is pure standard library: no module imports anything else."""
+
+import ast
+import sys
+from pathlib import Path
+
+import steinercycles
+
+PACKAGE = Path(steinercycles.__file__).parent
+
+
+def test_package_imports_only_stdlib_and_itself():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    foreign = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top != "steinercycles" and top not in sys.stdlib_module_names:
+                    foreign.append(f"{path.name}: {name}")
+    assert not foreign, foreign
