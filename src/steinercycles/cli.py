@@ -9,7 +9,9 @@ give byte-identical reports (diagnostics go to stderr).
 
 Exit codes: 0 success, certified answer, or full agreement; 1 verified
 disagreement or invalid witness; 2 usage or parse error; 3 node budget
-exhausted (never reported as a certified optimum).
+exhausted (never reported as a certified optimum); 4 internal failure,
+such as a search too deep for the interpreter's recursion limit (no
+answer is given).
 """
 
 from __future__ import annotations
@@ -73,9 +75,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_lambda_k(args) -> int:
     d = parse_digraph(_read(args.graph))
-    res = min_packing_number(d, args.k,
-                             transitive_shortcut=args.transitive_shortcut,
-                             node_budget=args.budget)
+    res = min_packing_number(d, args.k, node_budget=args.budget)
     if res.witness is None:
         _note("node budget exhausted before any terminal set was solved")
         return 3
@@ -192,9 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--transitive-shortcut", action="store_true",
-                   help="solve only {0..k-1}; valid when all k-sets are "
-                        "equivalent under automorphisms (complete digraphs)")
     p.set_defaults(func=_cmd_lambda_k)
 
     p = sub.add_parser("formula",
@@ -251,6 +248,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Exit 1 would read as a verified disagreement, so a crash (a
+        # RecursionError on a deep search, or a bug) gets its own code.
+        reason = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {reason}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -93,6 +93,63 @@ class MultiDigraph:
         """True when no ordered pair occurs more than once."""
         return all(c <= 1 for c in self.multiplicity.values())
 
+    def _is_twin_pair(self, r: int, v: int) -> bool:
+        """True when swapping r and v maps the arc multiset onto itself.
+
+        That holds when mult(r, v) = mult(v, r) and, for every other vertex
+        w, mult(r, w) = mult(v, w) and mult(w, r) = mult(w, v).  The check
+        reads only the arcs at r and v.
+        """
+        mult = self.multiplicity
+        if mult[(r, v)] != mult[(v, r)]:
+            return False
+        for w in self._out_adj[r] + self._out_adj[v]:
+            if w != r and w != v and mult[(r, w)] != mult[(v, w)]:
+                return False
+        for w in self._in_adj[r] + self._in_adj[v]:
+            if w != r and w != v and mult[(w, r)] != mult[(w, v)]:
+                return False
+        return True
+
+    @cached_property
+    def twin_classes(self) -> tuple:
+        """Partition of the vertices into classes of pairwise twins.
+
+        Each class is an ascending tuple, and the classes are ordered by
+        their first vertex.  Every member of a class is verified by
+        `_is_twin_pair` against the class's first member, so every
+        permutation within a class is an automorphism.  Being twins is an
+        equivalence relation, and within one class either no two members
+        are adjacent or every two are.  So twins share their sets of
+        successors and predecessors (open key), or those sets with the
+        vertex added (closed key), and bucketing by both keys finds every
+        twin pair.  On a simple digraph each bucket is one class, so every
+        vertex is checked once and the whole takes O(n + m) expected time;
+        parallel arcs can put several classes in one bucket, and a vertex
+        is then checked against the first member of each.
+        """
+        buckets = {}
+        for v in range(self.vertex_count):
+            out, inn = frozenset(self._out_adj[v]), frozenset(self._in_adj[v])
+            own = frozenset((v,))
+            buckets.setdefault(("open", out, inn), []).append(v)
+            buckets.setdefault(("closed", out | own, inn | own), []).append(v)
+        leader = list(range(self.vertex_count))
+        for bucket in buckets.values():
+            firsts = []
+            for v in bucket:
+                if leader[v] != v:
+                    continue
+                r = next((r for r in firsts if self._is_twin_pair(r, v)), None)
+                if r is None:
+                    firsts.append(v)
+                else:
+                    leader[v] = r
+        classes = {}
+        for v in range(self.vertex_count):
+            classes.setdefault(leader[v], []).append(v)
+        return tuple(tuple(c) for c in classes.values())
+
 
 class Graph:
     """An undirected simple graph; edges stored as sorted pairs."""

@@ -34,7 +34,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .digraph import MultiDigraph, build_digraph
-from .packing import _BudgetHit, _Nodes, cycle_pairs, validate_cycle
+from .packing import cycle_pairs, validate_cycle
+from .search import BudgetHit, Nodes
 
 DECOMPOSED = "decomposed"
 EXHAUSTED = "exhausted"
@@ -310,7 +311,7 @@ def hamiltonian_decomposition(d: MultiDigraph,
     residual = Counter(d.arcs)
     anchor_heads = sorted(h for (t, h) in d.arcs if t == 0)
     cycles = []
-    nodes = _Nodes(node_budget)
+    nodes = Nodes(node_budget)
 
     def extend(path, visited):
         nodes.step()
@@ -351,7 +352,7 @@ def hamiltonian_decomposition(d: MultiDigraph,
 
     try:
         found = build(0)
-    except _BudgetHit:
+    except BudgetHit:
         return DecompositionResult(BUDGET, None, nodes.count)
     if found:
         return DecompositionResult(

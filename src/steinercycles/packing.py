@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
 
 from .digraph import MultiDigraph, is_symmetric, validate_terminals
+from .search import BudgetHit, Nodes
 
 
 @dataclass(frozen=True)
@@ -145,27 +145,8 @@ def reverse_cycle(d: MultiDigraph, seq) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 class _SearchDone(Exception):
     pass
-
-
-class _Nodes:
-    """Search-node counter with an optional hard limit."""
-
-    __slots__ = ("count", "limit")
-
-    def __init__(self, limit):
-        self.count = 0
-        self.limit = limit
-
-    def step(self):
-        self.count += 1
-        if self.limit is not None and self.count > self.limit:
-            raise _BudgetHit
 
 
 def _reduce_instance(d: MultiDigraph, terminals):
@@ -368,7 +349,7 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
         return bound
 
     global_bound = term_bound()
-    nodes = _Nodes(node_budget)
+    nodes = Nodes(node_budget)
     best = []
     cur = []
     certified = True
@@ -423,7 +404,7 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
         bnb(None)
     except _SearchDone:
         pass
-    except _BudgetHit:
+    except BudgetHit:
         certified = False
 
     return _expand_witness(best, chains), certified, nodes.count, reached
@@ -460,30 +441,64 @@ def packing_exists(d: MultiDigraph, terminals, size: int,
     return ExistenceResult(False, certified, None, nodes)
 
 
-def min_packing_number(d: MultiDigraph, k: int, transitive_shortcut: bool = False,
+def _colex_subsets(n: int, k: int):
+    """Yield the k-subsets of range(n) as ascending tuples in colex order."""
+    c = list(range(k))
+    while True:
+        yield tuple(c)
+        i = 0
+        while i + 1 < k and c[i] + 1 == c[i + 1]:
+            i += 1
+        if c[i] + 1 == n:
+            return
+        c[i] += 1
+        c[:i] = range(i)
+
+
+def _orbit_representatives(d: MultiDigraph, k: int):
+    """Yield, in colex order, the k-subsets that meet every twin class of d
+    in a prefix of that class.
+
+    {0, .., k-1} comes first and is always one; the twin classes are built
+    only when the caller asks for a second subset.
+    """
+    subsets = _colex_subsets(d.vertex_count, k)
+    yield next(subsets)
+    prev = None
+    for subset in subsets:
+        if prev is None:
+            prev = {c[i]: c[i - 1] for c in d.twin_classes
+                    for i in range(1, len(c))}
+        if all(v not in prev or prev[v] in subset for v in subset):
+            yield subset
+
+
+def min_packing_number(d: MultiDigraph, k: int,
                        node_budget: int | None = None) -> MinPackingResult:
     """Minimum over all k-element terminal sets of the maximum packing size.
 
-    Subsets are scanned in colexicographic order with an early exit once a
-    certified zero appears (no smaller value is possible).  With
-    `transitive_shortcut` the caller asserts that all k-subsets are
-    equivalent under automorphisms of d (true for complete digraphs), and
-    only {0, .., k-1} is solved.
+    Terminal sets are scanned in colexicographic order with an early exit
+    once a certified zero appears (no smaller value is possible), and only
+    one set per orbit is solved.  The orbits are those of the group
+    generated by the transpositions of twins (`MultiDigraph.twin_classes`):
+    each such transposition is checked to map the arc multiset onto
+    itself, so every set in an orbit has the same packing value.  The set
+    solved for an orbit is the one that meets every twin class in a prefix
+    of it (its smallest members), which is the colex-first set of the
+    orbit.  The colex-first set attaining the minimum is therefore always
+    solved, and without a node budget `value`, `witness_set`, `witness` and
+    `certified` are those of the scan over every k-subset; only `nodes` can
+    be smaller.  A node budget is shared by the sets solved, in scan order.
     """
     n = d.vertex_count
     if not 2 <= k <= n:
         raise ValueError(f"k must be between 2 and {n}, got {k}")
-    if transitive_shortcut:
-        subsets = [tuple(range(k))]
-    else:
-        subsets = sorted(combinations(range(n), k),
-                         key=lambda s: tuple(reversed(s)))
     best = None
     witness_set = None
     witness = None
     certified = True
     total_nodes = 0
-    for subset in subsets:
+    for subset in _orbit_representatives(d, k):
         remaining = None if node_budget is None else node_budget - total_nodes
         if remaining is not None and remaining <= 0:
             certified = False

@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from steinercycles import parse_digraph, parse_witness, verify_packing
+from steinercycles import make_family, parse_digraph, parse_witness, \
+    serialize_digraph, verify_packing
 from steinercycles.cli import main
 from steinercycles.packing import CyclePacking
 
@@ -46,12 +47,40 @@ def test_lambda_k_output(k4_file, capsys):
     assert len([ln for ln in lines if ln.startswith("cycle: ")]) == 2
 
 
-def test_lambda_k_transitive_shortcut(k4_file, capsys):
-    assert main(["lambda-k", "--graph", k4_file, "--k", "2",
-                 "--transitive-shortcut"]) == 0
+def test_lambda_k_complete_solves_first_set(k4_file, tmp_path, capsys):
+    assert main(["lambda-k", "--graph", k4_file, "--k", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1] == "S: 0,1"
     assert lines[2] == "lambda 3"
+    k6 = tmp_path / "k6.digraph"
+    k6.write_text(serialize_digraph(make_family("complete:6")))
+    assert main(["lambda-k", "--graph", str(k6), "--k", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "k 4\n"
+        "S: 0,1,2,3\n"
+        "lambda 5\n"
+        "cycle: 0 1 2 3 0\n"
+        "cycle: 0 2 1 4 3 5 0\n"
+        "cycle: 0 3 4 1 5 2 0\n"
+        "cycle: 0 4 2 5 3 1 0\n"
+        "cycle: 0 5 1 3 2 4 0\n")
+
+
+def test_deep_search_exits_four_not_one(tmp_path, capsys):
+    # a 1,500-vertex directed ring with every vertex a terminal needs a
+    # cycle search deeper than the default recursion limit
+    n = 1500
+    ring = tmp_path / "ring.digraph"
+    ring.write_text(f"n {n}\n" + "".join(f"a {v} {(v + 1) % n}\n"
+                                          for v in range(n)))
+    every = ",".join(str(v) for v in range(n))
+    for argv in (["solve", "--graph", str(ring), "--S", every],
+                 ["lambda-k", "--graph", str(ring), "--k", str(n)]):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: RecursionError")
+        assert captured.err.count("\n") == 1
 
 
 def test_formula_table(capsys):

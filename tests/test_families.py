@@ -159,11 +159,30 @@ def test_formula_matches_solver_small_families():
 
 def test_formula_matches_solver_complete_six_except_k4():
     d = make_family("complete:6")
-    # transitive shortcut is sound here: every permutation is an automorphism
+    # all six vertices are twins, so one terminal set is solved per k
     for k in (2, 3, 5, 6):
-        got = min_packing_number(d, k, transitive_shortcut=True)
+        got = min_packing_number(d, k)
         assert got.certified
         assert got.value == complete_value(6, k)
+        assert got.witness_set == frozenset(range(k))
+
+
+def test_bipartite_min_packing_scans_every_orbit():
+    """Two sides of a complete bipartite digraph are two twin classes, so
+    {0..k-1} alone does not settle the minimum: three terminals on the
+    three-vertex side of K(2,3) admit no cycle, and a terminal on the
+    four-vertex side of K(2,4) has only two out-arcs, where {0, 1} has
+    four cycles."""
+    d = make_family("bipartite:2,3")
+    assert d.twin_classes == ((0, 1), (2, 3, 4))
+    got = min_packing_number(d, 3)
+    assert got.certified
+    assert (got.value, got.witness_set) == (0, frozenset({2, 3, 4}))
+    d = make_family("bipartite:2,4")
+    got = min_packing_number(d, 2)
+    assert got.certified
+    assert (got.value, got.witness_set) == (2, frozenset({0, 2}))
+    assert verify_packing(got.witness) and len(got.witness) == 2
 
 
 def test_complete_six_four_terminals_beats_tabulated_value():

@@ -19,6 +19,7 @@ from steinercycles import (
     validate_cycle,
     verify_packing,
 )
+from steinercycles.packing import _colex_subsets
 from helpers import (
     brute_max_packing,
     brute_min_packing,
@@ -161,13 +162,25 @@ def test_min_packing_rejects_bad_k():
         min_packing_number(d, 4)
 
 
-def test_transitive_shortcut_agrees_on_complete():
+def test_orbit_scan_solves_one_set_on_complete():
+    # every permutation of a complete digraph is an automorphism, so the
+    # scan solves {0..k-1} alone and matches the minimum over every k-set
     for n, k in [(4, 2), (4, 3), (5, 2), (5, 4)]:
         d = _bidirected(n)
-        full = min_packing_number(d, k)
-        quick = min_packing_number(d, k, transitive_shortcut=True)
-        assert quick.value == full.value
-        assert quick.witness_set == frozenset(range(k))
+        assert d.twin_classes == (tuple(range(n)),)
+        res = min_packing_number(d, k)
+        assert res.certified
+        assert res.value == min(max_cycle_packing(d, s).value
+                                for s in combinations(range(n), k))
+        assert res.witness_set == frozenset(range(k))
+        assert res.nodes == max_cycle_packing(d, range(k)).nodes
+
+
+def test_colex_subsets_order():
+    for n in range(2, 8):
+        for k in range(1, n + 1):
+            want = sorted(combinations(range(n), k), key=lambda s: s[::-1])
+            assert list(_colex_subsets(n, k)) == want
 
 
 def test_node_budget_gives_uncertified_bound():

@@ -1,14 +1,17 @@
 """Structural invariants checked on randomized inputs."""
 
 import random
+from collections import Counter
+from itertools import combinations
 
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from steinercycles import (
     build_digraph,
     canonical_cycle,
     max_cycle_packing,
+    min_packing_number,
     parse_digraph,
     parse_witness,
     reverse_cycle,
@@ -131,3 +134,53 @@ def test_packing_never_decreases_with_more_arcs(seed):
         return
     d2 = build_digraph(n, list(d.arcs) + [extra])
     assert max_cycle_packing(d2, terms).value >= before
+
+
+@st.composite
+def _twinned_multidigraphs(draw):
+    """Multidigraphs on at most six vertices with parallel arcs and many
+    twins: each vertex gets one of three types, a type-to-type table gives
+    each arc's multiplicity, and a few arc instances are then added."""
+    n = draw(st.integers(2, 6))
+    types = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    table = draw(st.lists(st.integers(0, 2), min_size=9, max_size=9))
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v
+            for _ in range(table[3 * types[u] + types[v]])]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=3))
+    arcs += [(u, v) for (u, v) in extra if u != v]
+    # Dense six-vertex hosts take seconds per terminal set to refute.
+    assume(len(arcs) <= 20)
+    return build_digraph(n, arcs)
+
+
+def _swap_preserves_arcs(d, r, v):
+    def image(x):
+        return v if x == r else r if x == v else x
+    return Counter((image(a), image(b)) for (a, b) in d.arcs) == d.multiplicity
+
+
+@given(_twinned_multidigraphs())
+def test_twin_classes_are_exactly_the_swappable_pairs(d):
+    classes = d.twin_classes
+    assert sorted(v for c in classes for v in c) == list(range(d.vertex_count))
+    assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+    cls = {v: c for c in classes for v in c}
+    for r, v in combinations(range(d.vertex_count), 2):
+        assert _swap_preserves_arcs(d, r, v) == (cls[r] is cls[v]), (r, v)
+
+
+@given(_twinned_multidigraphs(), st.integers(2, 6))
+def test_min_packing_number_matches_scan_of_every_subset(d, k):
+    assume(k <= d.vertex_count)
+    colex = sorted(combinations(range(d.vertex_count), k),
+                   key=lambda s: s[::-1])
+    scan = [(s, max_cycle_packing(d, s)) for s in colex]
+    value = min(res.value for _, res in scan)
+    subset, first = next((s, res) for s, res in scan if res.value == value)
+    got = min_packing_number(d, k)
+    assert got.value == value
+    assert got.witness_set == frozenset(subset)
+    assert got.witness.cycles == first.packing.cycles
+    assert got.certified == all(res.certified for _, res in scan)
+    assert got.nodes <= sum(res.nodes for _, res in scan)
