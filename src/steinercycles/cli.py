@@ -163,6 +163,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_harness(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     rows = FAMILIES[args.family](args.count, seed=args.seed,
                                  node_budget=args.budget)
     for row in rows:

@@ -64,22 +64,31 @@ class FamilySpec:
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
-        """Parse complete:N, bipartite:T,Z or multipartite:WxL."""
+        """Parse complete:N, bipartite:T,Z or multipartite:WxL.
+
+        Every parameter must be at least 1 and the family must have at
+        least 2 vertices; anything else has no terminal set to tabulate.
+        """
         kind, sep, rest = text.strip().partition(":")
         if not sep:
             raise ValueError(f"family {text!r} lacks a ':' separator")
+        if kind not in ("complete", "bipartite", "multipartite"):
+            raise ValueError(f"unknown family kind {kind!r}")
         try:
             if kind == "complete":
-                return cls.complete(int(rest))
-            if kind == "bipartite":
+                spec = cls.complete(int(rest))
+            elif kind == "bipartite":
                 t, z = rest.split(",")
-                return cls.bipartite(int(t), int(z))
-            if kind == "multipartite":
+                spec = cls.bipartite(int(t), int(z))
+            else:
                 w, l = rest.lower().split("x")
-                return cls.multipartite(int(w), int(l))
+                spec = cls.multipartite(int(w), int(l))
         except ValueError as exc:
             raise ValueError(f"bad family parameters in {text!r}") from exc
-        raise ValueError(f"unknown family kind {kind!r}")
+        if min(spec.params) < 1 or spec.vertex_count < 2:
+            raise ValueError(f"family {text!r} needs parameters of at least 1 "
+                             "and at least 2 vertices")
+        return spec
 
     @property
     def vertex_count(self) -> int:

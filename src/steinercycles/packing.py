@@ -9,11 +9,16 @@ pair does not exceed its multiplicity in the host.
 
 The solver is a branch-and-bound over canonical cycles.  Packings are
 explored as lexicographically sorted multisets (repeats are only possible
-when parallel arcs supply capacity), pruned by the terminal degree bound:
-every further cycle consumes one outgoing and one incoming arc instance at
-every terminal, so at most min over terminals of min(residual out, residual
-in) cycles can still be added.  A search that reaches that bound from the
-start is optimal outright.
+when parallel arcs supply capacity).  The only bound is the terminal degree
+bound: a Steiner cycle passes every terminal exactly once, on one outgoing
+and one incoming arc instance, so at most min over terminals of
+min(out-degree, in-degree) cycles fit.  Each cycle taken lowers every
+terminal's residual degrees by exactly one, so the bound never tightens
+during the search; it is checked once, before it.  A decision whose target
+exceeds it is refuted without search, and a search that reaches it is
+optimal outright.  The cycle enumerator keeps the residual support as
+successor and predecessor bitmasks and prunes a partial cycle when the
+closing vertex or a missing terminal is out of reach.
 
 Before searching, the instance is reduced: non-terminal vertices that miss
 incoming or outgoing arcs are deleted, and non-terminal vertices with
@@ -196,81 +201,94 @@ def _reduce_instance(d: MultiDigraph, terminals):
     return dict(capacity), dict(chains)
 
 
-def _enumerate_cycles(s0, terminals, adj, radj, has_cap, lower, nodes):
+def _mask(vertices) -> int:
+    """Bitmask with bit v set for each vertex v."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes):
     """Yield canonical Steiner cycle sequences in lexicographic order.
 
-    Only sequences strictly greater than `lower` are produced when it is
-    given.  `has_cap(u, v)` gates which support arcs are usable; the search
-    prunes branches from which the remaining terminals or the closing vertex
-    are unreachable.
+    `succ[u]` and `pred[v]` are bitmasks over vertex ids: the heads of the
+    usable support arcs leaving u and the tails of those entering v.  Only
+    sequences strictly greater than `lower` are produced when it is given.
+    The search prunes branches from which the remaining terminals or the
+    closing vertex are unreachable.
     """
+    s0_bit = 1 << s0
+    term_mask = _mask(terminals)
     seq = [s0]
-    on_path = {s0}
 
-    def prune_ok(v):
-        need = terminals - on_path
-        seen_f = set()
-        stack = [v]
-        found_s0 = False
-        while stack:
-            x = stack.pop()
-            for w in adj.get(x, ()):
-                if not has_cap(x, w):
-                    continue
-                if w == s0:
-                    found_s0 = True
-                if w in on_path or w in seen_f:
-                    continue
-                seen_f.add(w)
-                stack.append(w)
-        if not found_s0:
+    def prune_ok(v, path):
+        # Forward from v through vertices off the path: some reached vertex
+        # (or v) must have an arc back to s0, and every missing terminal
+        # must be reached.
+        need = term_mask & ~path
+        heads = succ[v]
+        front = heads & ~path
+        reach = 0
+        while front:
+            reach |= front
+            if heads & s0_bit and not need & ~reach:
+                break
+            nxt = 0
+            while front:
+                low = front & -front
+                nxt |= succ[low.bit_length() - 1]
+                front ^= low
+            heads |= nxt
+            front = nxt & ~path & ~reach
+        if not heads & s0_bit or need & ~reach:
             return False
-        if not need <= seen_f:
-            return False
-        if need:
-            seen_b = set()
-            stack = [s0]
-            while stack:
-                x = stack.pop()
-                for w in radj.get(x, ()):
-                    if not has_cap(w, x):
-                        continue
-                    if w in on_path or w in seen_b:
-                        continue
-                    seen_b.add(w)
-                    stack.append(w)
-            if not need <= seen_b:
-                return False
-        return True
+        if not need:
+            return True
+        # Backward from s0: every missing terminal must reach s0 through
+        # vertices off the path.
+        front = pred[s0] & ~path
+        reach = 0
+        while front:
+            reach |= front
+            if not need & ~reach:
+                return True
+            nxt = 0
+            while front:
+                low = front & -front
+                nxt |= pred[low.bit_length() - 1]
+                front ^= low
+            front = nxt & ~path & ~reach
+        return False
 
-    def rec(tight):
+    def rec(path, tight):
         if nodes is not None:
             nodes.step()
         v = seq[-1]
-        if not prune_ok(v):
+        if not prune_ok(v, path):
             return
         i = len(seq)
-        lo = lower[i] if (tight and lower is not None and i < len(lower)) else None
-        for w in adj.get(v, ()):
-            if not has_cap(v, w):
-                continue
-            if lo is not None and w < lo:
-                continue
+        lo = lower[i] if (tight and i < len(lower)) else None
+        heads = succ[v]
+        if lo is not None:
+            heads &= -1 << lo
+        while heads:
+            low = heads & -heads
+            heads ^= low
+            w = low.bit_length() - 1
             if w == s0:
-                if len(seq) >= 2 and terminals <= on_path:
-                    if lo is not None and w == lo:
+                if i >= 2 and not term_mask & ~path:
+                    if w == lo:
                         # Equal prefix: the closed sequence is either equal
                         # to `lower` or a proper prefix of it, never greater.
                         continue
                     yield tuple(seq) + (s0,)
-            elif w not in on_path:
+            elif not low & path:
                 seq.append(w)
-                on_path.add(w)
-                yield from rec(tight and lo is not None and w == lo)
+                yield from rec(path | low, w == lo)
                 seq.pop()
-                on_path.discard(w)
 
-    yield from rec(lower is not None)
+    yield from rec(s0_bit, lower is not None)
 
 
 def enumerate_steiner_cycles(d: MultiDigraph, terminals, cap: int | None = None) -> list:
@@ -284,11 +302,10 @@ def enumerate_steiner_cycles(d: MultiDigraph, terminals, cap: int | None = None)
     if cap is not None and cap < 0:
         raise ValueError("cap must be nonnegative")
     s0 = min(terminals)
-    adj = {v: d.successors(v) for v in range(d.vertex_count)}
-    radj = {v: d.predecessors(v) for v in range(d.vertex_count)}
+    succ = [_mask(d.successors(v)) for v in range(d.vertex_count)]
+    pred = [_mask(d.predecessors(v)) for v in range(d.vertex_count)]
     out = []
-    for seq in _enumerate_cycles(s0, terminals, adj, radj,
-                                 lambda u, v: True, None, None):
+    for seq in _enumerate_cycles(s0, terminals, succ, pred, None, None):
         if cap is not None and len(out) >= cap:
             break
         out.append(seq)
@@ -322,53 +339,43 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
     s0 = min(terminals)
     capacity, chains = _reduce_instance(d, terminals)
 
-    support = sorted(capacity)
-    adj = defaultdict(list)
-    radj = defaultdict(list)
-    out_pairs = defaultdict(list)
-    in_pairs = defaultdict(list)
-    for (u, v) in support:
-        adj[u].append(v)
-        radj[v].append(u)
-        if u in terminals:
-            out_pairs[u].append((u, v))
-        if v in terminals:
-            in_pairs[v].append((u, v))
-    adj = {u: tuple(sorted(vs)) for u, vs in adj.items()}
-    radj = {v: tuple(sorted(us)) for v, us in radj.items()}
-
+    succ = [0] * d.vertex_count
+    pred = [0] * d.vertex_count
+    out_deg = Counter()
+    in_deg = Counter()
+    for (u, v), c in capacity.items():
+        succ[u] |= 1 << v
+        pred[v] |= 1 << u
+        out_deg[u] += c
+        in_deg[v] += c
     residual = dict(capacity)
 
-    def term_bound():
-        bound = None
-        for s in terminals:
-            out = sum(residual[p] for p in out_pairs[s])
-            inn = sum(residual[p] for p in in_pairs[s])
-            m = min(out, inn)
-            bound = m if bound is None else min(bound, m)
-        return bound
-
-    global_bound = term_bound()
+    # A Steiner cycle passes each terminal once, on one arc out and one in,
+    # so with `cur` taken at most bound - len(cur) more fit: the degree
+    # bound can settle the search here but never prunes inside it.
+    bound = min(min(out_deg[s], in_deg[s]) for s in terminals)
     nodes = Nodes(node_budget)
     best = []
     cur = []
     certified = True
     reached = False
 
-    if global_bound == 0 or (target is not None and target > global_bound):
-        # Degree bound settles it without search.
+    if bound == 0 or (target is not None and target > bound):
         return _expand_witness(best, chains), True, 0, False
 
-    def has_cap(u, v):
-        return residual.get((u, v), 0) > 0
-
     def take(seq):
-        for p in cycle_pairs(seq):
-            residual[p] -= 1
+        for (u, v) in cycle_pairs(seq):
+            residual[(u, v)] -= 1
+            if not residual[(u, v)]:
+                succ[u] &= ~(1 << v)
+                pred[v] &= ~(1 << u)
 
     def untake(seq):
-        for p in cycle_pairs(seq):
-            residual[p] += 1
+        for (u, v) in cycle_pairs(seq):
+            if not residual[(u, v)]:
+                succ[u] |= 1 << v
+                pred[v] |= 1 << u
+            residual[(u, v)] += 1
 
     def bnb(last):
         nonlocal best, reached
@@ -376,24 +383,19 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
         if target is None:
             if len(cur) > len(best):
                 best = list(cur)
-            if len(best) >= global_bound:
+            if len(best) >= bound:
                 raise _SearchDone
-            if len(cur) + term_bound() <= len(best):
-                return
-        else:
-            if len(cur) >= target:
-                best = list(cur)
-                reached = True
-                raise _SearchDone
-            if len(cur) + term_bound() < target:
-                return
+        elif len(cur) >= target:
+            best = list(cur)
+            reached = True
+            raise _SearchDone
         if last is not None and all(residual[p] > 0 for p in cycle_pairs(last)):
             take(last)
             cur.append(last)
             bnb(last)
             cur.pop()
             untake(last)
-        for seq in _enumerate_cycles(s0, terminals, adj, radj, has_cap, last, nodes):
+        for seq in _enumerate_cycles(s0, terminals, succ, pred, last, nodes):
             take(seq)
             cur.append(seq)
             bnb(seq)

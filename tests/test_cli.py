@@ -99,6 +99,16 @@ def test_formula_bad_family(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("family", ["complete:0", "complete:1",
+                                    "multipartite:0x3"])
+def test_formula_empty_family_is_usage_error(family, capsys):
+    # no terminal set exists, so an empty table would read as an answer
+    assert main(["formula", "--family", family]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_gadget_eulerian(tmp_path, capsys):
     path = tmp_path / "two-arcs.digraph"
     path.write_text("n 4\na 0 1\na 2 3\n")
@@ -193,6 +203,15 @@ def test_harness_replacement_small(capsys):
         assert inst.startswith("replacement-")
         assert oracle in ("yes", "no") and solver in ("yes", "no")
         assert agree == "yes"
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_harness_count_below_one_is_usage_error(count, capsys):
+    # `agreement 0/0` with exit 0 would read as full agreement
+    assert main(["harness", "--family", "planar", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_harness_is_deterministic(capsys):

@@ -19,7 +19,8 @@ from steinercycles import (
     validate_cycle,
     verify_packing,
 )
-from steinercycles.packing import _colex_subsets
+from steinercycles.families import make_family
+from steinercycles.packing import _colex_subsets, _enumerate_cycles, cycle_pairs
 from helpers import (
     brute_max_packing,
     brute_min_packing,
@@ -87,6 +88,41 @@ def test_enumerate_matches_brute_random():
         assert sorted(rotate_min(seq) for seq in got) == \
             brute_steiner_cycles(d, terms)
         assert len(set(got)) == len(got)
+
+
+def test_enumerate_mid_search_matches_filtered_listing():
+    # Inside the branch-and-bound the enumerator sees saturated pairs and a
+    # lower bound: it must list exactly the full listing's cycles above
+    # `lower` that avoid every saturated pair, in the same order.
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(300):
+        d = _random_digraph(rng, lo=3, hi=6, p=0.5)
+        if not d.arcs:
+            continue
+        d = build_digraph(d.vertex_count, list(d.arcs) + [
+            rng.choice(d.arcs) for _ in range(rng.randint(1, 4))])
+        k = rng.randint(2, min(4, d.vertex_count))
+        terms = frozenset(rng.sample(range(d.vertex_count), k))
+        full = enumerate_steiner_cycles(d, terms)
+        if not full:
+            continue
+        support = sorted(d.multiplicity)
+        saturated = set(rng.sample(support, rng.randint(0, len(support) // 2)))
+        succ = [0] * d.vertex_count
+        pred = [0] * d.vertex_count
+        for (u, v) in support:
+            if (u, v) not in saturated:
+                succ[u] |= 1 << v
+                pred[v] |= 1 << u
+        lower = rng.choice(full + [None])
+        want = [seq for seq in full
+                if (lower is None or seq > lower)
+                and saturated.isdisjoint(cycle_pairs(seq))]
+        got = list(_enumerate_cycles(min(terms), terms, succ, pred, lower, None))
+        assert got == want, (d, sorted(terms), sorted(saturated), lower)
+        checked += 1
+    assert checked > 100
 
 
 def test_max_packing_matches_brute_random():
@@ -181,6 +217,24 @@ def test_colex_subsets_order():
         for k in range(1, n + 1):
             want = sorted(combinations(range(n), k), key=lambda s: s[::-1])
             assert list(_colex_subsets(n, k)) == want
+
+
+def test_search_tree_pinned():
+    # Node counts and witnesses of three fixed searches; a change to the
+    # enumeration order or to the pruning shows up here first.
+    no = packing_exists(make_family("complete:6"), range(6), 5)
+    assert (no.exists, no.certified, no.nodes) == (False, True, 77087)
+    res = max_cycle_packing(make_family("complete:7"), {0, 4, 5, 6})
+    assert (res.value, res.certified, res.nodes) == (6, True, 100)
+    assert res.packing.cycles == (
+        (0, 1, 2, 3, 4, 5, 6, 0), (0, 2, 1, 3, 6, 5, 4, 0),
+        (0, 3, 1, 4, 6, 2, 5, 0), (0, 4, 2, 6, 1, 5, 3, 0),
+        (0, 5, 1, 6, 4, 3, 2, 0), (0, 6, 3, 5, 2, 4, 1, 0))
+    res = max_cycle_packing(make_family("multipartite:2x3"), {0, 1, 4, 5})
+    assert (res.value, res.certified, res.nodes) == (4, True, 33)
+    assert res.packing.cycles == (
+        (0, 2, 1, 4, 3, 5, 0), (0, 3, 1, 5, 2, 4, 0),
+        (0, 4, 1, 2, 5, 3, 0), (0, 5, 1, 3, 4, 2, 0))
 
 
 def test_node_budget_gives_uncertified_bound():
