@@ -93,62 +93,89 @@ class MultiDigraph:
         """True when no ordered pair occurs more than once."""
         return all(c <= 1 for c in self.multiplicity.values())
 
-    def _is_twin_pair(self, r: int, v: int) -> bool:
-        """True when swapping r and v maps the arc multiset onto itself.
-
-        That holds when mult(r, v) = mult(v, r) and, for every other vertex
-        w, mult(r, w) = mult(v, w) and mult(w, r) = mult(w, v).  The check
-        reads only the arcs at r and v.
-        """
-        mult = self.multiplicity
-        if mult[(r, v)] != mult[(v, r)]:
-            return False
-        for w in self._out_adj[r] + self._out_adj[v]:
-            if w != r and w != v and mult[(r, w)] != mult[(v, w)]:
-                return False
-        for w in self._in_adj[r] + self._in_adj[v]:
-            if w != r and w != v and mult[(w, r)] != mult[(w, v)]:
-                return False
-        return True
-
     @cached_property
     def twin_classes(self) -> tuple:
-        """Partition of the vertices into classes of pairwise twins.
+        """Partition of the vertices into classes of pairwise twins: every
+        permutation within a class is an automorphism (see
+        `twin_partition`)."""
+        succ = [0] * self.vertex_count
+        pred = [0] * self.vertex_count
+        for (u, v) in self.multiplicity:
+            succ[u] |= 1 << v
+            pred[v] |= 1 << u
+        return twin_partition(succ, pred, self.multiplicity)
 
-        Each class is an ascending tuple, and the classes are ordered by
-        their first vertex.  Every member of a class is verified by
-        `_is_twin_pair` against the class's first member, so every
-        permutation within a class is an automorphism.  Being twins is an
-        equivalence relation, and within one class either no two members
-        are adjacent or every two are.  So twins share their sets of
-        successors and predecessors (open key), or those sets with the
-        vertex added (closed key), and bucketing by both keys finds every
-        twin pair.  On a simple digraph each bucket is one class, so every
-        vertex is checked once and the whole takes O(n + m) expected time;
-        parallel arcs can put several classes in one bucket, and a vertex
-        is then checked against the first member of each.
-        """
-        buckets = {}
-        for v in range(self.vertex_count):
-            out, inn = frozenset(self._out_adj[v]), frozenset(self._in_adj[v])
-            own = frozenset((v,))
-            buckets.setdefault(("open", out, inn), []).append(v)
-            buckets.setdefault(("closed", out | own, inn | own), []).append(v)
-        leader = list(range(self.vertex_count))
-        for bucket in buckets.values():
-            firsts = []
-            for v in bucket:
-                if leader[v] != v:
-                    continue
-                r = next((r for r in firsts if self._is_twin_pair(r, v)), None)
-                if r is None:
-                    firsts.append(v)
-                else:
-                    leader[v] = r
-        classes = {}
-        for v in range(self.vertex_count):
-            classes.setdefault(leader[v], []).append(v)
-        return tuple(tuple(c) for c in classes.values())
+
+def twin_partition(succ, pred, mult) -> tuple:
+    """Partition of the vertices 0..len(succ)-1 into classes of pairwise twins.
+
+    `succ[v]` and `pred[v]` are bitmasks of the heads of the arcs leaving v
+    and the tails of those entering it, and `mult.get((u, v), 0)` is the
+    multiplicity of the pair.  Each class is an ascending tuple, and the
+    classes are ordered by their first vertex.  Every member of a class is
+    checked against the class's first member r: swapping r and v must map
+    the arc multiset onto itself, that is mult(r, v) = mult(v, r) and, for
+    every other vertex w, mult(r, w) = mult(v, w) and mult(w, r) = mult(w, v).
+    So every permutation within a class is an automorphism.  Being twins is
+    an equivalence relation, and within one class either no two members
+    are adjacent or every two are.  So twins share their sets of successors
+    and predecessors (open key), or those sets with the vertex added
+    (closed key), and bucketing by both keys finds every twin pair.  On a
+    simple digraph each bucket is one class, so every vertex is checked
+    once and the whole takes O(n + m) expected time; parallel arcs can put
+    several classes in one bucket, and a vertex is then checked against the
+    first member of each.
+    """
+    def swappable(r, v):
+        # r and v share a bucket, so their masks agree off {r, v}.
+        if mult.get((r, v), 0) != mult.get((v, r), 0):
+            return False
+        rest = ~((1 << r) | (1 << v))
+        return (all(mult[(r, w)] == mult[(v, w)] for w in _bits(succ[r] & rest))
+                and all(mult[(w, r)] == mult[(w, v)]
+                        for w in _bits(pred[r] & rest)))
+
+    n = len(succ)
+    leader = list(range(n))
+    buckets = {}
+    isolated = None
+    for v in range(n):
+        if not succ[v] and not pred[v]:
+            # Vertices without arcs are pairwise twins; no check is needed.
+            if isolated is None:
+                isolated = v
+            leader[v] = isolated
+            continue
+        # The open key is even and the closed key odd: each packs the two
+        # masks into one int.
+        own = 1 << v
+        buckets.setdefault((succ[v] << n | pred[v]) << 1, []).append(v)
+        buckets.setdefault(((succ[v] | own) << n | pred[v] | own) << 1 | 1,
+                           []).append(v)
+    for bucket in buckets.values():
+        if len(bucket) < 2:
+            continue
+        firsts = []
+        for v in bucket:
+            if leader[v] != v:
+                continue
+            r = next((r for r in firsts if swappable(r, v)), None)
+            if r is None:
+                firsts.append(v)
+            else:
+                leader[v] = r
+    classes = {}
+    for v in range(n):
+        classes.setdefault(leader[v], []).append(v)
+    return tuple(tuple(c) for c in classes.values())
+
+
+def _bits(mask: int):
+    """Yield the positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 class Graph:

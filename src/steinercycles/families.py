@@ -66,8 +66,8 @@ class FamilySpec:
     def parse(cls, text: str) -> "FamilySpec":
         """Parse complete:N, bipartite:T,Z or multipartite:WxL.
 
-        Every parameter must be at least 1 and the family must have at
-        least 2 vertices; anything else has no terminal set to tabulate.
+        The spec must pass `check`, so every parsed spec names a digraph
+        that `make_family` builds.
         """
         kind, sep, rest = text.strip().partition(":")
         if not sep:
@@ -85,10 +85,27 @@ class FamilySpec:
                 spec = cls.multipartite(int(w), int(l))
         except ValueError as exc:
             raise ValueError(f"bad family parameters in {text!r}") from exc
-        if min(spec.params) < 1 or spec.vertex_count < 2:
-            raise ValueError(f"family {text!r} needs parameters of at least 1 "
-                             "and at least 2 vertices")
+        spec.check()
         return spec
+
+    def check(self) -> None:
+        """Raise ValueError unless the family is one `make_family` builds.
+
+        Every parameter must be at least 1 and the family must have at
+        least 2 vertices; a bipartite family needs 2 <= t <= z and a
+        multipartite one at least 2 parts.  Anything else has no terminal
+        set whose packing number a table could state.
+        """
+        if self.kind not in ("complete", "bipartite", "multipartite"):
+            raise ValueError(f"unknown family kind {self.kind!r}")
+        if min(self.params) < 1 or self.vertex_count < 2:
+            raise ValueError(f"family {self.label} needs parameters of at "
+                             "least 1 and at least 2 vertices")
+        if self.kind == "bipartite" and not 2 <= self.params[0] <= self.params[1]:
+            raise ValueError("bipartite parts must satisfy 2 <= t <= z, "
+                             "got {},{}".format(*self.params))
+        if self.kind == "multipartite" and self.params[1] < 2:
+            raise ValueError("multipartite family needs at least 2 parts")
 
     @property
     def vertex_count(self) -> int:
@@ -107,6 +124,14 @@ class FamilySpec:
         return "multipartite:{}x{}".format(*self.params)
 
 
+def _checked(spec) -> FamilySpec:
+    """A FamilySpec or its string form, as a spec that passed `check`."""
+    if isinstance(spec, str):
+        return FamilySpec.parse(spec)
+    spec.check()
+    return spec
+
+
 def make_family(spec) -> MultiDigraph:
     """Build the bidirected digraph for a FamilySpec (or its string form).
 
@@ -114,28 +139,14 @@ def make_family(spec) -> MultiDigraph:
     multipartite assigns vertex v to part v // w.  Arcs are emitted with
     ascending tail, then ascending head, so layouts are reproducible.
     """
-    if isinstance(spec, str):
-        spec = FamilySpec.parse(spec)
-    if any(p < 1 for p in spec.params):
-        raise ValueError(f"family parameters must be positive: {spec.label}")
+    spec = _checked(spec)
     n = spec.vertex_count
     if spec.kind == "complete":
-        if n < 2:
-            raise ValueError("complete family needs at least 2 vertices")
         part = list(range(n))
     elif spec.kind == "bipartite":
-        t, z = spec.params
-        if not 2 <= t <= z:
-            raise ValueError("bipartite parts must satisfy 2 <= t <= z, "
-                             f"got {t},{z}")
-        part = [0 if v < t else 1 for v in range(n)]
-    elif spec.kind == "multipartite":
-        w, l = spec.params
-        if l < 2:
-            raise ValueError("multipartite family needs at least 2 parts")
-        part = [v // w for v in range(n)]
+        part = [0 if v < spec.params[0] else 1 for v in range(n)]
     else:
-        raise ValueError(f"unknown family kind {spec.kind!r}")
+        part = [v // spec.params[0] for v in range(n)]
     arcs = [(u, v) for u in range(n) for v in range(n)
             if u != v and part[u] != part[v]]
     return build_digraph(n, arcs)
@@ -200,8 +211,7 @@ def multipartite_value(w: int, l: int, k: int) -> int:
 
 def family_value(spec, k: int) -> int:
     """Closed-form packing number for any family spec."""
-    if isinstance(spec, str):
-        spec = FamilySpec.parse(spec)
+    spec = _checked(spec)
     if spec.kind == "complete":
         return complete_value(spec.params[0], k)
     if spec.kind == "bipartite":
@@ -211,8 +221,7 @@ def family_value(spec, k: int) -> int:
 
 def lambda_table(spec, ks=None) -> dict:
     """Closed-form values for a range of terminal-set sizes (default: all)."""
-    if isinstance(spec, str):
-        spec = FamilySpec.parse(spec)
+    spec = _checked(spec)
     if ks is None:
         ks = range(2, spec.vertex_count + 1)
     return {k: family_value(spec, k) for k in ks}

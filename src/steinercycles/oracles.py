@@ -7,10 +7,10 @@ questions by exhaustive path search (with a max-flow precheck for quick
 refusals), `hamiltonian_cycle` is a plain backtracker, and
 `symmetric_two_packing_decision` answers whether a symmetric digraph packs
 two disjoint Steiner cycles: for two terminals via a polynomial
-vertex-capacity max-flow on the underlying graph, for more by searching
-for a single Steiner cycle, whose reversal then provides the second
-(bounded exhaustive search standing in for the polynomial algorithm cited
-for that case in the literature).
+vertex-capacity max-flow on the underlying graph, for more by a plain
+backtracking search for a single Steiner cycle, whose reversal then
+provides the second (bounded exhaustive search standing in for the
+polynomial algorithm cited for that case in the literature).
 
 All searches scan neighbours in ascending order and return the first
 witness found, so answers are deterministic.
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .digraph import Graph, MultiDigraph, is_symmetric, underlying_graph, \
     validate_terminals
-from .packing import cycle_pairs, enumerate_steiner_cycles
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,11 @@ def _check_four_distinct(d: MultiDigraph, terms) -> None:
         raise ValueError(f"terminal out of range 0..{n - 1}: {terms}")
     if len(set(terms)) != len(terms):
         raise ValueError(f"terminals must be distinct, got {terms}")
+
+
+def _pairs(path):
+    """Consecutive ordered pairs of a path."""
+    return zip(path, path[1:])
 
 
 def _lex_paths(adj, has_cap, s, t, lower=None):
@@ -136,12 +140,12 @@ def weak_two_linkage(d: MultiDigraph, s1, t1, s2, t2) -> OracleAnswer:
         return residual.get((u, v), 0) > 0
 
     for first in _lex_paths(adj, has_cap, s1, t1):
-        for p in cycle_pairs(first):
+        for p in _pairs(first):
             residual[p] -= 1
         if _reachable(adj, residual, s2, t2):
             second = next(_lex_paths(adj, has_cap, s2, t2))
             return OracleAnswer(True, (first, second))
-        for p in cycle_pairs(first):
+        for p in _pairs(first):
             residual[p] += 1
     return OracleAnswer(False, None)
 
@@ -177,7 +181,7 @@ def arc_disjoint_demand_paths(d: MultiDigraph, s1, t1, d1: int,
             if kind == 1:
                 return place(2, need[2], None)
             return True
-        if lower is not None and all(residual[p] > 0 for p in cycle_pairs(lower)):
+        if lower is not None and all(residual[p] > 0 for p in _pairs(lower)):
             if _attempt(kind, count, lower, lower):
                 return True
         s, t = ends[kind]
@@ -187,13 +191,13 @@ def arc_disjoint_demand_paths(d: MultiDigraph, s1, t1, d1: int,
         return False
 
     def _attempt(kind, count, path, lower):
-        for p in cycle_pairs(path):
+        for p in _pairs(path):
             residual[p] -= 1
         chosen[kind].append(path)
         if place(kind, count - 1, lower):
             return True
         chosen[kind].pop()
-        for p in cycle_pairs(path):
+        for p in _pairs(path):
             residual[p] += 1
         return False
 
@@ -234,6 +238,33 @@ def hamiltonian_cycle(g: Graph) -> OracleAnswer:
     return OracleAnswer(False, None)
 
 
+def _steiner_cycle_exists(d: MultiDigraph, terminals) -> bool:
+    """Is there a simple directed cycle through every terminal?
+
+    Grows simple paths from the smallest terminal, neighbours in ascending
+    order, and closes a path back to it once every terminal is on it.
+    """
+    start = min(terminals)
+    path = [start]
+    on_path = {start}
+
+    def rec():
+        for w in d.successors(path[-1]):
+            if w == start:
+                if len(path) >= 2 and terminals <= on_path:
+                    return True
+            elif w not in on_path:
+                path.append(w)
+                on_path.add(w)
+                if rec():
+                    return True
+                path.pop()
+                on_path.discard(w)
+        return False
+
+    return rec()
+
+
 def symmetric_two_packing_decision(d: MultiDigraph, terminals) -> bool:
     """Does a symmetric digraph pack two arc-disjoint Steiner cycles?
 
@@ -247,7 +278,7 @@ def symmetric_two_packing_decision(d: MultiDigraph, terminals) -> bool:
         raise ValueError("this decision procedure requires a symmetric digraph")
     terminals = validate_terminals(d, terminals)
     if len(terminals) >= 3:
-        return bool(enumerate_steiner_cycles(d, terminals, cap=1))
+        return _steiner_cycle_exists(d, terminals)
     u, v = sorted(terminals)
     g = underlying_graph(d)
     caps = {}

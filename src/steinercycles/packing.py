@@ -20,6 +20,33 @@ optimal outright.  The cycle enumerator keeps the residual support as
 successor and predecessor bitmasks and prunes a partial cycle when the
 closing vertex or a missing terminal is out of reach.
 
+The search branches on one cycle per orbit (orbital branching: Ostrowski,
+Linderoth, Rossi and Smriglio, Math. Programming 126, 2011).  The group
+is the twin group of the reduced instance: the permutations within classes
+of twins (vertices whose swap preserves every capacity), split into
+terminals and non-terminals, that fix s0, the smallest terminal.  A child's
+classes are its parent's minus the vertices of the cycle it took (the
+pointwise stabiliser), so a node's group G fixes every cycle taken so far
+and preserves the residual capacities.  Two cycles share an orbit when
+relabelling each class's vertices in order of first appearance gives the
+same key.  A node walks its candidates in lexicographic order (the cycle
+it took again if capacity allows, then greater ones) and branches on the
+first cycle of each orbit, r_1, r_2, ...; it skips a cycle in the orbit of
+an earlier branch here, or in an orbit forbidden at an ancestor.  Child i
+takes r_i and forbids the orbits of r_1, ..., r_{i-1}.  The group prunes
+nothing before a node's second candidate, so it is built only then, and a
+search settled on its first descent never builds it.
+
+Soundness: take any packing the node allows and let i be the least index
+whose orbit it meets.  Some g in G maps a cycle of it in that orbit onto
+r_i.  G preserves the residual and every forbidden set (each is an orbit
+of an ancestor's group, which contains G), so the image is a packing of
+the same size that holds r_i, meets no earlier orbit and is allowed at
+child i.  The lexicographic lower bound stays sound: a cycle below r_i
+that the node allows lies in an orbit whose first member, its
+representative, comes before r_i, so child i forbids it.  With a trivial
+group and nothing forbidden the search is the plain sorted-multiset one.
+
 Before searching, the instance is reduced: non-terminal vertices that miss
 incoming or outgoing arcs are deleted, and non-terminal vertices with
 exactly one incoming and one outgoing arc are suppressed onto a merged arc
@@ -36,8 +63,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
-from .digraph import MultiDigraph, is_symmetric, validate_terminals
+from .digraph import MultiDigraph, is_symmetric, twin_partition, \
+    validate_terminals
 from .search import BudgetHit, Nodes
 
 
@@ -327,6 +356,61 @@ def _expand_witness(seqs, chains):
     return tuple(out)
 
 
+def _twin_group(succ, pred, capacity, terminals, s0) -> dict:
+    """The twin group of the reduced instance, as a partition.
+
+    Maps each vertex of a class of at least two members to its class (an
+    ascending tuple).  The classes are the twin classes of the reduced
+    instance split into terminals and non-terminals, with s0 fixed and the
+    vertices the reduction removed left out; every permutation within each
+    class preserves the capacities, the terminal set and s0.
+    """
+    part = {}
+    for cls in twin_partition(succ, pred, capacity):
+        if len(cls) < 2 or not succ[cls[0]]:
+            continue
+        for side in ([v for v in cls if v in terminals and v != s0],
+                     [v for v in cls if v not in terminals]):
+            if len(side) > 1:
+                side = tuple(side)
+                for v in side:
+                    part[v] = side
+    return part
+
+
+def _orbit_key(seq, part) -> tuple:
+    """The canonical member of seq's orbit under the partition's group.
+
+    The j-th vertex of a class to appear in seq is replaced by the j-th
+    member of the class, so two cycles share a key exactly when a
+    permutation within the classes maps one onto the other.
+    """
+    seen = {}
+    key = []
+    for v in seq:
+        cls = part.get(v)
+        if cls is None:
+            key.append(v)
+        else:
+            j = seen.get(cls[0], 0)
+            seen[cls[0]] = j + 1
+            key.append(cls[j])
+    return tuple(key)
+
+
+def _stabiliser(part, seq) -> dict:
+    """The partition of the subgroup fixing every vertex of seq."""
+    if not any(v in part for v in seq):
+        return part
+    out = {}
+    for cls in set(part.values()):
+        rest = tuple(v for v in cls if v not in seq)
+        if len(rest) > 1:
+            for v in rest:
+                out[v] = rest
+    return out
+
+
 def _solve(d: MultiDigraph, terminals, target, node_budget):
     """Shared branch-and-bound core.
 
@@ -377,7 +461,28 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
                 pred[v] |= 1 << u
             residual[(u, v)] += 1
 
-    def bnb(last):
+    # `succ` and `pred` follow the residual; the group is that of the
+    # reduced instance itself.
+    support = (list(succ), list(pred))
+    group = None
+
+    def partition_here():
+        # The root's twin partition, stabilised by every cycle taken so far.
+        nonlocal group
+        if group is None:
+            group = _twin_group(*support, capacity, terminals, s0)
+        part = group
+        for seq in cur:
+            part = _stabiliser(part, seq)
+        return part
+
+    def bnb(last, part, forbidden):
+        # `part` is the twin partition of this node's group.  A group only
+        # prunes from a node's second candidate on, so on the path of first
+        # children from the root it stays None until a node there needs it,
+        # and a search settled on that path never computes it.  `forbidden`
+        # holds (partition, orbit keys) of every ancestor whose group was
+        # nontrivial: the orbits its earlier children branched on.
         nonlocal best, reached
         nodes.step()
         if target is None:
@@ -389,21 +494,35 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
             best = list(cur)
             reached = True
             raise _SearchDone
+        branched = None
+        below = forbidden
+        seqs = _enumerate_cycles(s0, terminals, succ, pred, last, nodes)
         if last is not None and all(residual[p] > 0 for p in cycle_pairs(last)):
-            take(last)
-            cur.append(last)
-            bnb(last)
-            cur.pop()
-            untake(last)
-        for seq in _enumerate_cycles(s0, terminals, succ, pred, last, nodes):
+            seqs = chain((last,), seqs)
+        for seq in seqs:
+            if forbidden and any(keys and _orbit_key(seq, p) in keys
+                                 for p, keys in forbidden):
+                continue
+            if branched is not None:
+                key = _orbit_key(seq, part)
+                if key in branched:
+                    continue
             take(seq)
             cur.append(seq)
-            bnb(seq)
+            bnb(seq, part and _stabiliser(part, seq), below)
             cur.pop()
             untake(seq)
+            if branched is not None:
+                branched.add(key)
+                continue
+            if part is None:
+                part = partition_here()
+            if part:
+                branched = {_orbit_key(seq, part)}
+                below = forbidden + [(part, branched)]
 
     try:
-        bnb(None)
+        bnb(None, None, [])
     except _SearchDone:
         pass
     except BudgetHit:

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -12,4 +13,7 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("suite")
+# A longer soundness run for CI: HYPOTHESIS_PROFILE=deep.
+settings.register_profile("deep", settings.get_profile("suite"),
+                          max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))

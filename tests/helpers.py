@@ -42,7 +42,12 @@ def rotate_min(seq):
 def brute_max_packing(d, terminals):
     """Exact maximum number of arc-disjoint Steiner cycles, by trying every
     multiset of candidate cycles against the arc multiplicities."""
-    cycles = brute_steiner_cycles(d, terminals)
+    return multiset_max_packing(d, brute_steiner_cycles(d, terminals))
+
+
+def multiset_max_packing(d, cycles):
+    """Size of the largest multiset of the given cycles that uses no ordered
+    pair more often than its multiplicity in d."""
     caps = d.multiplicity
     arcsets = [Counter(zip(seq, seq[1:])) for seq in cycles]
     best = 0

@@ -213,14 +213,14 @@ def test_criterion_09_symmetric_decision(monkeypatch):
     problems += [f"{r.instance_id}: oracle {r.oracle}, solver {r.solver}"
                  for r in rows if not r.agree]
     problems += [f"{r.instance_id}: uncertified" for r in rows if not r.certified]
-    # the two-terminal branch must decide by flow alone: forbid any cycle
-    # enumeration and re-run those instances
+    # the two-terminal branch must decide by flow alone: forbid the oracle's
+    # cycle search and re-run those instances
     import steinercycles.oracles as oracles_module
 
     def _no_search(*args, **kwargs):
-        raise AssertionError("cycle enumeration reached on the k=2 branch")
+        raise AssertionError("cycle search reached on the k=2 branch")
 
-    monkeypatch.setattr(oracles_module, "enumerate_steiner_cycles", _no_search)
+    monkeypatch.setattr(oracles_module, "_steiner_cycle_exists", _no_search)
     two_sets = 0
     for instance_id, d, terminals in symmetric_instances(100):
         if len(terminals) != 2:

@@ -109,6 +109,18 @@ def test_formula_empty_family_is_usage_error(family, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("family", ["multipartite:3x1", "bipartite:1,3"])
+def test_formula_refuses_what_make_family_refuses(family, capsys):
+    # formula and make_family share one spec rule: a table no solver run
+    # could back is a usage error, not a table of zeros
+    with pytest.raises(ValueError):
+        make_family(family)
+    assert main(["formula", "--family", family]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_gadget_eulerian(tmp_path, capsys):
     path = tmp_path / "two-arcs.digraph"
     path.write_text("n 4\na 0 1\na 2 3\n")

@@ -81,6 +81,17 @@ def test_make_family_rejects_degenerate(text):
         make_family(text)
 
 
+@pytest.mark.parametrize("spec", [
+    FamilySpec.complete(1), FamilySpec.bipartite(1, 3),
+    FamilySpec.bipartite(3, 2), FamilySpec.multipartite(3, 1),
+])
+def test_closed_forms_share_the_family_rule(spec):
+    # no digraph backs these specs, so no closed form is stated for them
+    for call in (make_family, lambda_table, lambda s: family_value(s, 2)):
+        with pytest.raises(ValueError):
+            call(spec)
+
+
 def test_complete_value_table():
     assert complete_value(4, 2) == 3
     assert complete_value(4, 3) == 2

@@ -1,4 +1,5 @@
-"""The package is pure standard library: no module imports anything else."""
+"""The package is pure standard library: no module imports anything else,
+and the oracles share no code with the solver they check."""
 
 import ast
 import sys
@@ -26,3 +27,18 @@ def test_package_imports_only_stdlib_and_itself():
                 if top != "steinercycles" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}: {name}")
     assert not foreign, foreign
+
+
+def test_oracles_import_nothing_from_the_solver():
+    # The oracles are the harness's ground truth for the solver's answers,
+    # so they must not reuse its cycle enumeration or any other part of it.
+    path = PACKAGE / "oracles.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert "enumerate_steiner_cycles" not in imported
+    assert "packing" not in imported

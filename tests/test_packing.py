@@ -220,10 +220,13 @@ def test_colex_subsets_order():
 
 
 def test_search_tree_pinned():
-    # Node counts and witnesses of three fixed searches; a change to the
-    # enumeration order or to the pruning shows up here first.
+    # Node counts and witnesses of fixed searches; a change to the
+    # enumeration order, the pruning or the orbital branching shows up here
+    # first.
     no = packing_exists(make_family("complete:6"), range(6), 5)
-    assert (no.exists, no.certified, no.nodes) == (False, True, 77087)
+    assert (no.exists, no.certified, no.nodes) == (False, True, 2241)
+    no = packing_exists(make_family("complete:6"), {0, 1, 3, 4, 5}, 5)
+    assert (no.exists, no.certified, no.nodes) == (False, True, 10390)
     res = max_cycle_packing(make_family("complete:7"), {0, 4, 5, 6})
     assert (res.value, res.certified, res.nodes) == (6, True, 100)
     assert res.packing.cycles == (

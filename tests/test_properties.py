@@ -4,14 +4,18 @@ import random
 from collections import Counter
 from itertools import combinations
 
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from helpers import multiset_max_packing
 from steinercycles import (
     build_digraph,
     canonical_cycle,
+    enumerate_steiner_cycles,
+    make_family,
     max_cycle_packing,
     min_packing_number,
+    packing_exists,
     parse_digraph,
     parse_witness,
     reverse_cycle,
@@ -184,3 +188,33 @@ def test_min_packing_number_matches_scan_of_every_subset(d, k):
     assert got.witness.cycles == first.packing.cycles
     assert got.certified == all(res.certified for _, res in scan)
     assert got.nodes <= sum(res.nodes for _, res in scan)
+
+
+@st.composite
+def _twinned_instances(draw):
+    d = draw(_twinned_multidigraphs())
+    terminals = draw(st.sets(st.integers(0, d.vertex_count - 1), min_size=2))
+    return d, frozenset(terminals)
+
+
+@given(_twinned_instances())
+# K5 packs four cycles through four or five terminals.  With four, the
+# search finds them only if each child's group fixes the vertices of the
+# cycle it took; random hosts of at most 20 arcs almost never show that.
+@example((make_family("complete:5"), frozenset(range(4))))
+@example((make_family("complete:5"), frozenset(range(5))))
+def test_orbital_search_matches_multiset_reference(instance):
+    # Twin-rich hosts give the search nontrivial groups to branch over; the
+    # reference tries every multiset of the listed cycles, with no symmetry.
+    d, terminals = instance
+    want = multiset_max_packing(d, enumerate_steiner_cycles(d, terminals))
+    res = max_cycle_packing(d, terminals)
+    assert (res.value, res.certified) == (want, True)
+    assert verify_packing(res.packing) and len(res.packing) == want
+    for size in (want, want + 1):
+        if size < 1:
+            continue
+        dec = packing_exists(d, terminals, size)
+        assert (dec.exists, dec.certified) == (size <= want, True), size
+        if dec.exists:
+            assert verify_packing(dec.packing) and len(dec.packing) == size
