@@ -55,7 +55,6 @@ from .gadgets import (
     GadgetOutput,
     LinkageInstance,
     eulerian_gadget,
-    eulerize,
     planar_gadget,
     replacement_gadget,
     serialize_gadget,
@@ -120,7 +119,6 @@ __all__ = [
     "GadgetOutput",
     "LinkageInstance",
     "eulerian_gadget",
-    "eulerize",
     "planar_gadget",
     "replacement_gadget",
     "serialize_gadget",

@@ -6,9 +6,9 @@ instance is a yes-instance exactly when D packs L arc-disjoint Steiner
 cycles:
 
 * `eulerian_gadget` encodes weak 2-linkage (two arc-disjoint demand paths)
-  into an Eulerian digraph, balancing the input as `eulerize` does; its
-  ring is built so that the equivalence holds in both directions (the
-  argument is in its docstring);
+  into an Eulerian digraph, balancing the input by the vertex excesses
+  of `_excesses`; its ring is built so that the equivalence holds in both
+  directions (the argument is in its docstring);
 * `planar_gadget` encodes the two-demand-pair disjoint paths problem for
   planar inputs with all four terminals on the outer face, producing a
   planar digraph;
@@ -83,46 +83,22 @@ def _excesses(d: MultiDigraph, extra_arcs):
     return exc
 
 
-def eulerize(d: MultiDigraph, inst: LinkageInstance):
-    """Balance a linkage instance into an Eulerian multidigraph.
-
-    Adds the return arcs t1->s1 and t2->s2, two fresh vertices s (id n) and
-    t (id n+1), an arc s->v per unit of out-excess and v->t per unit of
-    in-excess, and finally p parallel t->s arcs, where p is the total
-    positive excess.  Returns (digraph, p, trace); the trace names s and t.
-    The result is balanced at every vertex, and Eulerian whenever its
-    underlying graph is connected.
-    """
-    n = d.vertex_count
-    returns = [(inst.t1, inst.s1), (inst.t2, inst.s2)]
-    exc = _excesses(d, returns)
-    s_id, t_id = n, n + 1
-    arcs = list(d.arcs) + returns
-    p = sum(e for e in exc if e > 0)
-    for v in range(n):
-        arcs.extend((s_id, v) for _ in range(max(0, exc[v])))
-    for v in range(n):
-        arcs.extend((v, t_id) for _ in range(max(0, -exc[v])))
-    arcs.extend((t_id, s_id) for _ in range(p))
-    out = build_digraph(n + 2, arcs)
-    return out, p, {s_id: "s", t_id: "t"}
-
-
 def eulerian_gadget(inst: LinkageInstance, k: int) -> GadgetOutput:
     """Encode weak 2-linkage into an Eulerian packing instance.
 
     The ring x_0, x_1, ..., x_k is spliced into the input; its terminals
     are x_1..x_k, and x_0 is an extra non-terminal ring vertex.  Indices
-    are cyclic, p is the imbalance total from `eulerize`, and every ring
-    arc copy is subdivided by its own vertex.  Arcs:
+    are cyclic, p is the total positive excess from `_excesses` (return
+    arcs t1 -> s1 and t2 -> s2 included), and every ring arc copy is
+    subdivided by its own vertex.  Arcs:
 
     * forward x_i -> x_{i+1}: one copy for i = 1, p copies for x_k -> x_0,
       p+1 copies otherwise;
     * backward x_{i+1} -> x_i: one copy each, except none for x_2 -> x_1;
     * splices x_2 -> s1, t1 -> x_1, x_k -> s2 and t2 -> x_0;
     * balancing vertices s and t (only when p > 0): p subdivided arcs
-      x_1 -> s and t -> x_2, plus `eulerize`'s s -> v and v -> t arcs,
-      subdivided, for the excess of each input vertex v.
+      x_1 -> s and t -> x_2, plus subdivided s -> v and v -> t arcs, one
+      per unit of each input vertex v's excess from `_excesses`.
 
     Every ring vertex has in- and out-degree p+2, the threshold.
 

@@ -12,13 +12,41 @@ explored as lexicographically sorted multisets (repeats are only possible
 when parallel arcs supply capacity).  The only bound is the terminal degree
 bound: a Steiner cycle passes every terminal exactly once, on one outgoing
 and one incoming arc instance, so at most min over terminals of
-min(out-degree, in-degree) cycles fit.  Each cycle taken lowers every
-terminal's residual degrees by exactly one, so the bound never tightens
-during the search; it is checked once, before it.  A decision whose target
-exceeds it is refuted without search, and a search that reaches it is
-optimal outright.  The cycle enumerator keeps the residual support as
-successor and predecessor bitmasks and prunes a partial cycle when the
-closing vertex or a missing terminal is out of reach.
+min(out-degree, in-degree) cycles fit.  A decision whose target exceeds it
+is refuted without search, and a search that reaches it is optimal
+outright.  The cycle enumerator keeps the residual support as successor
+and predecessor bitmasks and prunes a partial cycle when the closing
+vertex or a missing terminal is out of reach.
+
+Each cycle taken lowers every terminal's residual degrees by exactly one,
+so the bound itself never prunes inside the search.  Its equality case
+does: when the goal (the target of a decision, or one more cycle than the
+best packing so far) equals a terminal's degree, every arc instance at
+that terminal is used, each by a different cycle.  Two exact rules follow.
+
+* Forced first arc, at every node whose goal equals s0's out-degree.  The
+  cycles still to come each leave s0 once, and s0 has exactly as many
+  residual out-arcs as there are cycles to come, so a completion reaching
+  the goal uses all of them, the lowest one (s0, w) included.  Its
+  lexicographically first cycle starts with (s0, w), since no residual arc
+  leaves s0 for a vertex below w.  The node walks its candidates in
+  lexicographic order and stops at the first one not starting (s0, w);
+  every candidate up to a completion's first cycle starts that way.  Each
+  cycle of a completion the node allows is one of its candidates (see the
+  soundness of the orbits below), so the stop loses none.
+* Forced vertices, once at the root of a decision with target t.  A
+  terminal of in-degree t is in-tight: each of its t arc instances in is
+  used by a different cycle of a t-packing; out-tight is the same for arcs
+  out.  A cycle passes any vertex v at most once, so the arc instances
+  from v into in-tight terminals, and those into v from out-tight ones,
+  each number at most t, or no t-packing exists.  If either count is t,
+  every cycle of a t-packing passes v, and the t-packings for S are those
+  for S + v: v joins the terminal set (no t-packing exists if its degree is
+  below t) and is tight in turn where its degree is t.  The rule runs to a
+  fixpoint; degrees are static, so one pass over the capacities and a
+  worklist suffice.  The search, and its twin group, then runs on the
+  enlarged set, with s0 still the smallest of the caller's terminals so
+  witnesses keep their canonical rotation.
 
 The search branches on one cycle per orbit (orbital branching: Ostrowski,
 Linderoth, Rossi and Smriglio, Math. Programming 126, 2011).  The group
@@ -411,6 +439,46 @@ def _stabiliser(part, seq) -> dict:
     return out
 
 
+def _forced_terminals(capacity, out_deg, in_deg, terminals, t):
+    """The terminal set enlarged by every vertex that all t-packings pass,
+    or None when no t-packing exists; see the module docstring.
+
+    A terminal of in-degree t (out-degree t) is in-tight (out-tight).
+    f_out[v] counts the arc instances from v into in-tight terminals and
+    f_in[v] those into v from out-tight ones.
+    """
+    into = defaultdict(list)
+    out_of = defaultdict(list)
+    for (u, v), c in capacity.items():
+        out_of[u].append((v, c))
+        into[v].append((u, c))
+    forced = set(terminals)
+    f_out = Counter()
+    f_in = Counter()
+    work = list(terminals)
+    while work:
+        s = work.pop()
+        touched = []
+        if in_deg[s] == t:
+            for u, c in into[s]:
+                f_out[u] += c
+                touched.append(u)
+        if out_deg[s] == t:
+            for u, c in out_of[s]:
+                f_in[u] += c
+                touched.append(u)
+        for u in touched:
+            f = max(f_out[u], f_in[u])
+            if f > t:
+                return None
+            if f == t and u not in forced:
+                if min(out_deg[u], in_deg[u]) < t:
+                    return None
+                forced.add(u)
+                work.append(u)
+    return frozenset(forced)
+
+
 def _solve(d: MultiDigraph, terminals, target, node_budget):
     """Shared branch-and-bound core.
 
@@ -436,7 +504,8 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
 
     # A Steiner cycle passes each terminal once, on one arc out and one in,
     # so with `cur` taken at most bound - len(cur) more fit: the degree
-    # bound can settle the search here but never prunes inside it.
+    # bound can settle the search here but never prunes inside it.  Its
+    # equality case forces vertices here and first arcs in `bnb`.
     bound = min(min(out_deg[s], in_deg[s]) for s in terminals)
     nodes = Nodes(node_budget)
     best = []
@@ -446,6 +515,11 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
 
     if bound == 0 or (target is not None and target > bound):
         return _expand_witness(best, chains), True, 0, False
+    if target is not None:
+        terminals = _forced_terminals(capacity, out_deg, in_deg, terminals,
+                                      target)
+        if terminals is None:
+            return _expand_witness(best, chains), True, 0, False
 
     def take(seq):
         for (u, v) in cycle_pairs(seq):
@@ -496,10 +570,18 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
             raise _SearchDone
         branched = None
         below = forbidden
+        # Once s0's out-degree equals the goal, every completion reaching
+        # the goal uses all of s0's residual arcs, so its first cycle leaves
+        # s0 on the lowest one.
+        first = succ[s0] & -succ[s0]
+        tight = out_deg[s0] == (target if target is not None
+                                else len(best) + 1)
         seqs = _enumerate_cycles(s0, terminals, succ, pred, last, nodes)
         if last is not None and all(residual[p] > 0 for p in cycle_pairs(last)):
             seqs = chain((last,), seqs)
         for seq in seqs:
+            if tight and 1 << seq[1] != first:
+                break
             if forbidden and any(keys and _orbit_key(seq, p) in keys
                                  for p, keys in forbidden):
                 continue

@@ -7,7 +7,6 @@ from steinercycles import (
     build_digraph,
     build_graph,
     eulerian_gadget,
-    eulerize,
     is_eulerian,
     is_planar,
     is_symmetric,
@@ -38,30 +37,6 @@ def test_linkage_instance_validation():
         LinkageInstance(d, 0, 1, 2, 4)      # out of range
     with pytest.raises(ValueError):
         LinkageInstance(d, 0, 1, 2, 3, d1=0, d2=1)
-
-
-def test_eulerize_balances_every_vertex():
-    d = build_digraph(4, [(0, 1), (1, 2), (2, 3)])
-    inst = LinkageInstance(d, 0, 2, 1, 3)
-    out, p, trace = eulerize(d, inst)
-    assert out.vertex_count == 6
-    assert sorted(trace.values()) == ["s", "t"]
-    for v in range(out.vertex_count):
-        assert out.out_degree(v) == out.in_degree(v)
-    # the two return arcs are part of the balanced result
-    assert out.has_arc(2, 0) and out.has_arc(3, 1)
-    # all imbalance is routed through t -> s
-    assert p == 1
-    assert out.out_degree(5) == p and out.in_degree(4) == p
-
-
-def test_eulerize_balanced_input_needs_no_helpers():
-    d = build_digraph(4, [(0, 1), (2, 3)])
-    inst = LinkageInstance(d, 0, 1, 2, 3)
-    out, p, _ = eulerize(d, inst)
-    assert p == 0
-    # s and t exist but carry no arcs
-    assert out.out_degree(4) == 0 and out.in_degree(5) == 0
 
 
 def test_eulerian_gadget_rejects_bad_input():

@@ -221,12 +221,15 @@ def test_colex_subsets_order():
 
 def test_search_tree_pinned():
     # Node counts and witnesses of fixed searches; a change to the
-    # enumeration order, the pruning or the orbital branching shows up here
-    # first.
+    # enumeration order, the pruning, the orbital branching or the rules at
+    # the degree bound shows up here first.
     no = packing_exists(make_family("complete:6"), range(6), 5)
-    assert (no.exists, no.certified, no.nodes) == (False, True, 2241)
+    assert (no.exists, no.certified, no.nodes) == (False, True, 589)
+    # Vertex 2 is forced, so this is the search over all six terminals.
     no = packing_exists(make_family("complete:6"), {0, 1, 3, 4, 5}, 5)
-    assert (no.exists, no.certified, no.nodes) == (False, True, 10390)
+    assert (no.exists, no.certified, no.nodes) == (False, True, 589)
+    yes = packing_exists(make_family("complete:6"), {0, 1, 2, 3}, 5)
+    assert (yes.exists, yes.certified, yes.nodes) == (True, True, 652)
     res = max_cycle_packing(make_family("complete:7"), {0, 4, 5, 6})
     assert (res.value, res.certified, res.nodes) == (6, True, 100)
     assert res.packing.cycles == (
@@ -238,6 +241,14 @@ def test_search_tree_pinned():
     assert res.packing.cycles == (
         (0, 2, 1, 4, 3, 5, 0), (0, 3, 1, 5, 2, 4, 0),
         (0, 4, 1, 2, 5, 3, 0), (0, 5, 1, 3, 4, 2, 0))
+
+
+def test_forced_vertex_refutes_without_search():
+    # Both terminals have in- and out-degree 1, the target.  Vertex 2 sends
+    # two arcs into them, but a single cycle passes it only once.
+    d = build_digraph(3, [(2, 0), (2, 1), (0, 2), (1, 2)])
+    no = packing_exists(d, {0, 1}, 1)
+    assert (no.exists, no.certified, no.nodes) == (False, True, 0)
 
 
 def test_node_budget_gives_uncertified_bound():

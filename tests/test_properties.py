@@ -218,3 +218,25 @@ def test_orbital_search_matches_multiset_reference(instance):
         assert (dec.exists, dec.certified) == (size <= want, True), size
         if dec.exists:
             assert verify_packing(dec.packing) and len(dec.packing) == size
+
+
+@given(_twinned_instances())
+# Targets at the degree bound switch on the forced first arc and, in K5,
+# force every non-terminal into the terminal set, vertex 0 below s0 too.
+@example((make_family("complete:4"), frozenset(range(4))))
+@example((make_family("complete:5"), frozenset({0, 1, 2, 3})))
+@example((make_family("complete:5"), frozenset({0, 2, 3, 4})))
+@example((make_family("complete:5"), frozenset({1, 2, 3, 4})))
+def test_tight_decision_matches_multiset_reference(instance):
+    # At a target equal to the terminal degree bound the search uses every
+    # arc at a tight terminal: it forces the first arc at s0 and promotes
+    # the non-terminals that every cycle must pass.
+    d, terminals = instance
+    bound = min(min(d.out_degree(s), d.in_degree(s)) for s in terminals)
+    assume(bound >= 1)
+    want = multiset_max_packing(d, enumerate_steiner_cycles(d, terminals))
+    dec = packing_exists(d, terminals, bound)
+    assert (dec.exists, dec.certified) == (bound <= want, True)
+    if dec.exists:
+        assert verify_packing(dec.packing) and len(dec.packing) == bound
+        assert {seq[0] for seq in dec.packing.cycles} == {min(terminals)}
