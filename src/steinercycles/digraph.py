@@ -42,19 +42,24 @@ class MultiDigraph:
         """Counter mapping each ordered pair to its number of instances."""
         return Counter(self.arcs)
 
-    @cached_property
-    def _out_adj(self) -> dict:
-        adj = {v: [] for v in range(self.vertex_count)}
+    def masks(self) -> tuple:
+        """(succ, pred): lists of bitmasks over vertex ids; bit w of succ[v]
+        is set when an arc leaves v for w, bit u of pred[v] when an arc
+        enters v from u.  The one adjacency form of the package, built
+        afresh for the caller to change and not cached, so a digraph kept
+        after a solve holds no per-vertex data of it."""
+        succ = [0] * self.vertex_count
+        pred = [0] * self.vertex_count
         for (u, v) in self.arcs:
-            adj[u].append(v)
-        return {u: tuple(sorted(set(heads))) for u, heads in adj.items()}
+            succ[u] |= 1 << v
+            pred[v] |= 1 << u
+        return succ, pred
 
     @cached_property
-    def _in_adj(self) -> dict:
-        adj = {v: [] for v in range(self.vertex_count)}
-        for (u, v) in self.arcs:
-            adj[v].append(u)
-        return {v: tuple(sorted(set(tails))) for v, tails in adj.items()}
+    def _adjacency(self) -> tuple:
+        # (heads, tails): the distinct neighbours of each vertex, ascending
+        return tuple({v: tuple(bits(m)) for v, m in enumerate(side)}
+                     for side in self.masks())
 
     @cached_property
     def _out_degree(self) -> dict:
@@ -72,11 +77,11 @@ class MultiDigraph:
 
     def successors(self, v: int) -> tuple:
         """Distinct heads of arcs leaving v, ascending."""
-        return self._out_adj[v]
+        return self._adjacency[0][v]
 
     def predecessors(self, v: int) -> tuple:
         """Distinct tails of arcs entering v, ascending."""
-        return self._in_adj[v]
+        return self._adjacency[1][v]
 
     def out_degree(self, v: int) -> int:
         """Number of arc instances leaving v."""
@@ -98,12 +103,7 @@ class MultiDigraph:
         """Partition of the vertices into classes of pairwise twins: every
         permutation within a class is an automorphism (see
         `twin_partition`)."""
-        succ = [0] * self.vertex_count
-        pred = [0] * self.vertex_count
-        for (u, v) in self.multiplicity:
-            succ[u] |= 1 << v
-            pred[v] |= 1 << u
-        return twin_partition(succ, pred, self.multiplicity)
+        return twin_partition(*self.masks(), self.multiplicity)
 
 
 def twin_partition(succ, pred, mult) -> tuple:
@@ -131,9 +131,9 @@ def twin_partition(succ, pred, mult) -> tuple:
         if mult.get((r, v), 0) != mult.get((v, r), 0):
             return False
         rest = ~((1 << r) | (1 << v))
-        return (all(mult[(r, w)] == mult[(v, w)] for w in _bits(succ[r] & rest))
+        return (all(mult[(r, w)] == mult[(v, w)] for w in bits(succ[r] & rest))
                 and all(mult[(w, r)] == mult[(w, v)]
-                        for w in _bits(pred[r] & rest)))
+                        for w in bits(pred[r] & rest)))
 
     n = len(succ)
     leader = list(range(n))
@@ -170,7 +170,7 @@ def twin_partition(succ, pred, mult) -> tuple:
     return tuple(tuple(c) for c in classes.values())
 
 
-def _bits(mask: int):
+def bits(mask: int):
     """Yield the positions of the set bits of mask, lowest first."""
     while mask:
         low = mask & -mask

@@ -24,8 +24,8 @@ does: when the goal (the target of a decision, or one more cycle than the
 best packing so far) equals a terminal's degree, every arc instance at
 that terminal is used, each by a different cycle.  Two exact rules follow.
 
-* Forced first arc, at every node whose goal equals s0's out-degree.  The
-  cycles still to come each leave s0 once, and s0 has exactly as many
+* Forced first arc, at every node once its goal equals s0's out-degree.
+  The cycles still to come each leave s0 once, and s0 has exactly as many
   residual out-arcs as there are cycles to come, so a completion reaching
   the goal uses all of them, the lowest one (s0, w) included.  Its
   lexicographically first cycle starts with (s0, w), since no residual arc
@@ -33,7 +33,10 @@ that terminal is used, each by a different cycle.  Two exact rules follow.
   lexicographic order and stops at the first one not starting (s0, w);
   every candidate up to a completion's first cycle starts that way.  Each
   cycle of a completion the node allows is one of its candidates (see the
-  soundness of the orbits below), so the stop loses none.
+  soundness of the orbits below), so the stop loses none.  In max mode
+  the goal rises as the best packing grows, also during a node's own
+  candidate loop, and a completion that reaches a higher goal reaches the
+  lower one, so the test is made for each candidate.
 * Forced vertices, once at the root of a decision with target t.  A
   terminal of in-degree t is in-tight: each of its t arc instances in is
   used by a different cycle of a t-packing; out-tight is the same for arcs
@@ -81,6 +84,11 @@ exactly one incoming and one outgoing arc are suppressed onto a merged arc
 that remembers the hidden vertex chain.  Both steps preserve Steiner cycle
 packings exactly (suppression is a bijection on cycles and keeps
 arc-disjointness), and witnesses are expanded back to original vertices.
+The reduction is one worklist pass over the host's successor and
+predecessor masks (`MultiDigraph.masks`), which the search then keeps as
+its residual support.  A step that changes the instance removes
+at least one arc instance and pushes back only the endpoints of the arcs
+it removed, so the pass takes O(n + m) steps.
 
 All solver entry points take an optional node budget; results say whether
 they are certified (search ran to completion or hit the degree bound) or
@@ -89,11 +97,11 @@ were cut short.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .digraph import MultiDigraph, is_symmetric, twin_partition, \
+from .digraph import MultiDigraph, bits, is_symmetric, twin_partition, \
     validate_terminals
 from .search import BudgetHit, Nodes
 
@@ -214,56 +222,57 @@ class _SearchDone(Exception):
 def _reduce_instance(d: MultiDigraph, terminals):
     """Terminal-preserving reduction; see the module docstring.
 
-    Returns (capacity, chains): capacity maps each surviving ordered pair to
-    its multiplicity, chains maps it to one via-chain per instance (the
-    tuple of suppressed original vertices between tail and head).
+    One worklist pass over `d.masks()` and the multiplicities, both built
+    afresh (not `d.multiplicity`, which would stay cached on d).  A
+    non-terminal without in-arcs or without out-arcs loses its arcs; one
+    with exactly one arc instance in, (u, v), and one out, (v, w), is
+    suppressed onto a merged arc (u, w).  A step changes no degree but
+    those of the endpoints of the arcs it removes, so only they are pushed
+    again.
+
+    Returns (capacity, chains, succ, pred): capacity maps each surviving
+    ordered pair to its multiplicity, chains maps it to one via-chain per
+    instance (the tuple of suppressed original vertices between tail and
+    head), and succ/pred are the masks of the surviving pairs.
     """
-    arcs = [(u, v, ()) for (u, v) in d.arcs]
-    changed = True
-    while changed:
-        changed = False
-        out_map = defaultdict(list)
-        in_map = defaultdict(list)
-        for idx, (u, v, _) in enumerate(arcs):
-            out_map[u].append(idx)
-            in_map[v].append(idx)
-        for v in range(d.vertex_count):
-            if v in terminals:
-                continue
-            outs = out_map.get(v, [])
-            ins = in_map.get(v, [])
-            if not outs and not ins:
-                continue
-            if not outs or not ins:
-                drop = set(outs) | set(ins)
-                arcs = [a for i, a in enumerate(arcs) if i not in drop]
-                changed = True
-                break
-            if len(outs) == 1 and len(ins) == 1:
-                tail, _, via_in = arcs[ins[0]]
-                _, head, via_out = arcs[outs[0]]
-                drop = {outs[0], ins[0]}
-                arcs = [a for i, a in enumerate(arcs) if i not in drop]
-                if tail != head:
-                    # a suppression closing a loop means no simple Steiner
-                    # cycle can pass through v at all, so v is just dropped
-                    arcs.append((tail, head, via_in + (v,) + via_out))
-                changed = True
-                break
-    capacity = Counter()
-    chains = defaultdict(list)
-    for (u, v, via) in arcs:
-        capacity[(u, v)] += 1
-        chains[(u, v)].append(via)
-    return dict(capacity), dict(chains)
+    succ, pred = d.masks()
+    capacity = Counter(d.arcs)
+    chains = {pair: [()] * c for pair, c in capacity.items()}
 
+    def cut(u, v):
+        del capacity[(u, v)]
+        succ[u] &= ~(1 << v)
+        pred[v] &= ~(1 << u)
+        return chains.pop((u, v))
 
-def _mask(vertices) -> int:
-    """Bitmask with bit v set for each vertex v."""
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
+    work = [v for v in range(d.vertex_count) if v not in terminals]
+    while work:
+        v = work.pop()
+        heads, tails = succ[v], pred[v]
+        if not heads or not tails:
+            for w in bits(heads):
+                cut(v, w)
+            for u in bits(tails):
+                cut(u, v)
+            ends = heads | tails
+        elif heads & (heads - 1) or tails & (tails - 1):
+            continue
+        else:
+            u = tails.bit_length() - 1
+            w = heads.bit_length() - 1
+            if capacity[(u, v)] > 1 or capacity[(v, w)] > 1:
+                continue
+            via = cut(u, v)[0] + (v,) + cut(v, w)[0]
+            if u != w:
+                # a suppression closing a loop means no simple Steiner
+                # cycle can pass through v at all, so v is just dropped
+                capacity[(u, w)] += 1
+                chains.setdefault((u, w), []).append(via)
+                succ[u] |= 1 << w
+                pred[w] |= 1 << u
+            ends = 1 << u | 1 << w
+        work.extend(x for x in bits(ends) if x not in terminals)
+    return capacity, chains, succ, pred
 
 
 def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes):
@@ -276,7 +285,7 @@ def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes):
     closing vertex are unreachable.
     """
     s0_bit = 1 << s0
-    term_mask = _mask(terminals)
+    term_mask = sum(1 << s for s in terminals)
     seq = [s0]
 
     def prune_ok(v, path):
@@ -359,8 +368,7 @@ def enumerate_steiner_cycles(d: MultiDigraph, terminals, cap: int | None = None)
     if cap is not None and cap < 0:
         raise ValueError("cap must be nonnegative")
     s0 = min(terminals)
-    succ = [_mask(d.successors(v)) for v in range(d.vertex_count)]
-    pred = [_mask(d.predecessors(v)) for v in range(d.vertex_count)]
+    succ, pred = d.masks()
     out = []
     for seq in _enumerate_cycles(s0, terminals, succ, pred, None, None):
         if cap is not None and len(out) >= cap:
@@ -439,33 +447,29 @@ def _stabiliser(part, seq) -> dict:
     return out
 
 
-def _forced_terminals(capacity, out_deg, in_deg, terminals, t):
+def _forced_terminals(capacity, succ, pred, out_deg, in_deg, terminals, t):
     """The terminal set enlarged by every vertex that all t-packings pass,
     or None when no t-packing exists; see the module docstring.
 
     A terminal of in-degree t (out-degree t) is in-tight (out-tight).
     f_out[v] counts the arc instances from v into in-tight terminals and
-    f_in[v] those into v from out-tight ones.
+    f_in[v] those into v from out-tight ones; the neighbours of a tight
+    terminal are read off the reduced instance's masks.
     """
-    into = defaultdict(list)
-    out_of = defaultdict(list)
-    for (u, v), c in capacity.items():
-        out_of[u].append((v, c))
-        into[v].append((u, c))
     forced = set(terminals)
-    f_out = Counter()
-    f_in = Counter()
+    f_out = [0] * len(succ)
+    f_in = [0] * len(succ)
     work = list(terminals)
     while work:
         s = work.pop()
         touched = []
         if in_deg[s] == t:
-            for u, c in into[s]:
-                f_out[u] += c
+            for u in bits(pred[s]):
+                f_out[u] += capacity[(u, s)]
                 touched.append(u)
         if out_deg[s] == t:
-            for u, c in out_of[s]:
-                f_in[u] += c
+            for u in bits(succ[s]):
+                f_in[u] += capacity[(s, u)]
                 touched.append(u)
         for u in touched:
             f = max(f_out[u], f_in[u])
@@ -485,19 +489,13 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
     target=None computes the maximum packing; an integer target stops as
     soon as that many disjoint cycles are found (decision mode).  Returns
     (seqs, certified, nodes, reached_target) with seqs already expanded to
-    original vertices.
+    original vertices.  `terminals` is a frozenset the caller validated.
     """
-    terminals = validate_terminals(d, terminals)
     s0 = min(terminals)
-    capacity, chains = _reduce_instance(d, terminals)
-
-    succ = [0] * d.vertex_count
-    pred = [0] * d.vertex_count
-    out_deg = Counter()
-    in_deg = Counter()
+    capacity, chains, succ, pred = _reduce_instance(d, terminals)
+    out_deg = [0] * d.vertex_count
+    in_deg = [0] * d.vertex_count
     for (u, v), c in capacity.items():
-        succ[u] |= 1 << v
-        pred[v] |= 1 << u
         out_deg[u] += c
         in_deg[v] += c
     residual = dict(capacity)
@@ -516,8 +514,8 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
     if bound == 0 or (target is not None and target > bound):
         return _expand_witness(best, chains), True, 0, False
     if target is not None:
-        terminals = _forced_terminals(capacity, out_deg, in_deg, terminals,
-                                      target)
+        terminals = _forced_terminals(capacity, succ, pred, out_deg, in_deg,
+                                      terminals, target)
         if terminals is None:
             return _expand_witness(best, chains), True, 0, False
 
@@ -572,15 +570,15 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
         below = forbidden
         # Once s0's out-degree equals the goal, every completion reaching
         # the goal uses all of s0's residual arcs, so its first cycle leaves
-        # s0 on the lowest one.
+        # s0 on the lowest one.  In max mode the goal rises with the best
+        # packing, within this loop too, so it is read per candidate.
         first = succ[s0] & -succ[s0]
-        tight = out_deg[s0] == (target if target is not None
-                                else len(best) + 1)
         seqs = _enumerate_cycles(s0, terminals, succ, pred, last, nodes)
         if last is not None and all(residual[p] > 0 for p in cycle_pairs(last)):
             seqs = chain((last,), seqs)
         for seq in seqs:
-            if tight and 1 << seq[1] != first:
+            if 1 << seq[1] != first and out_deg[s0] == (
+                    target if target is not None else len(best) + 1):
                 break
             if forbidden and any(keys and _orbit_key(seq, p) in keys
                                  for p, keys in forbidden):

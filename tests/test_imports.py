@@ -1,5 +1,6 @@
 """The package is pure standard library: no module imports anything else,
-and the oracles share no code with the solver they check."""
+no module imports another's private names, and the oracles share no code
+with the solver they check."""
 
 import ast
 import sys
@@ -42,3 +43,16 @@ def test_oracles_import_nothing_from_the_solver():
             imported.update(alias.name.split(".")[-1] for alias in node.names)
     assert "enumerate_steiner_cycles" not in imported
     assert "packing" not in imported
+
+
+def test_modules_import_no_private_names_of_each_other():
+    # A module's underscore names are its own; another module that needs
+    # one should get a public name for it instead.
+    private = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("steinercycles")):
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert not private, private

@@ -2,12 +2,13 @@
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from helpers import multiset_max_packing
+from steinercycles.packing import _reduce_instance
 from steinercycles import (
     build_digraph,
     canonical_cycle,
@@ -240,3 +241,78 @@ def test_tight_decision_matches_multiset_reference(instance):
     if dec.exists:
         assert verify_packing(dec.packing) and len(dec.packing) == bound
         assert {seq[0] for seq in dec.packing.cycles} == {min(terminals)}
+
+
+@st.composite
+def _reducible_instances(draw):
+    """Multidigraphs with parallel arcs onto which paths of fresh vertices
+    are grafted: chains between two vertices, dead ends (a path leaving a
+    vertex or entering it from nowhere) and cycles back to the start,
+    2-cycles among them.  A later path may start on an earlier one."""
+    n = draw(st.integers(2, 5))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=10))
+    arcs = [(u, v) for (u, v) in pairs if u != v]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("chain", "out", "in", "cycle")))
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 1))
+        fresh = list(range(n, n + draw(st.integers(1, 3))))
+        n += len(fresh)
+        path = {"chain": [u] + fresh + [v], "out": [u] + fresh,
+                "in": fresh + [v], "cycle": [u] + fresh + [u]}[kind]
+        arcs += zip(path, path[1:])
+    terminals = draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=4))
+    return build_digraph(n, arcs), frozenset(terminals)
+
+
+@given(_reducible_instances())
+def test_reduction_keeps_exactly_the_steiner_cycles(instance):
+    d, terminals = instance
+    capacity, chains, succ, pred = _reduce_instance(d, terminals)
+    assert {p: len(c) for p, c in chains.items()} == capacity
+    assert succ == [sum(1 << v for (u, v) in capacity if u == x)
+                    for x in range(d.vertex_count)]
+    assert pred == [sum(1 << u for (u, v) in capacity if v == x)
+                    for x in range(d.vertex_count)]
+    # (a) At the fixpoint no surviving non-terminal is a dead end or passes
+    # a single arc instance through.
+    out_deg, in_deg = Counter(), Counter()
+    for (u, v), c in capacity.items():
+        out_deg[u] += c
+        in_deg[v] += c
+    for v in set(out_deg) | set(in_deg):
+        if v not in terminals:
+            assert out_deg[v] and in_deg[v], v
+            assert (out_deg[v], in_deg[v]) != (1, 1), v
+    # Each merged arc instance stands for its own path of original arc
+    # instances.
+    used = Counter()
+    for (u, v), vias in chains.items():
+        for via in vias:
+            path = (u,) + via + (v,)
+            used.update(zip(path, path[1:]))
+    assert all(used[p] <= d.multiplicity[p] for p in used)
+    # (b) The input's Steiner cycles are the reduced instance's cycles with
+    # every merged arc expanded over each of its via-chains.
+    reduced = build_digraph(d.vertex_count, [p for p, c in capacity.items()
+                                             for _ in range(c)])
+    expanded = []
+    for seq in enumerate_steiner_cycles(reduced, terminals):
+        options = [[via + (v,) for via in set(chains[(u, v)])]
+                   for (u, v) in zip(seq, seq[1:])]
+        for steps in product(*options):
+            expanded.append(seq[:1] + sum(steps, ()))
+    assert sorted(expanded) == enumerate_steiner_cycles(d, terminals)
+
+
+def test_reduction_of_a_long_ring_is_one_merged_2_cycle():
+    # Every vertex but the two terminals is suppressed; the witness expands
+    # back to the whole ring.
+    n = 1500
+    d = build_digraph(n, [(v, (v + 1) % n) for v in range(n)])
+    capacity, chains, _, _ = _reduce_instance(d, frozenset({0, 750}))
+    assert capacity == {(0, 750): 1, (750, 0): 1}
+    res = max_cycle_packing(d, {0, 750})
+    assert (res.value, res.certified) == (1, True)
+    assert res.packing.cycles == (tuple(range(n)) + (0,),)
