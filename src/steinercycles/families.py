@@ -18,11 +18,14 @@ is known in closed form:
 
 The exceptional complete cases are witnessed by fixed hand-checked
 packings (`small_complete_packing`); everything else is witnessed by a
-decomposition of the whole arc set into Hamiltonian cycles, searched for
-by `hamiltonian_decomposition`.  Such a decomposition exists for the
+decomposition of the whole arc set into Hamiltonian cycles, found by
+`hamiltonian_decomposition`.  Such a decomposition exists for the
 complete digraph exactly when n is not 4 or 6 (Tillson, 1980), and for
-every balanced multipartite digraph other than those two, so the search
-doubles as an exhaustive refuter on the exceptions.  The lack of a
+every balanced multipartite digraph other than those two.  For odd n it
+is built directly: the translates of one cycle read off a sequencing of
+Z_{n-1} (Gordon, 1961).  Every other regular digraph, even complete ones
+included, is searched, so the search doubles as an exhaustive refuter on
+the exceptions.  The lack of a
 decomposition does not by itself cap the value below n - 1: with few
 terminals the n - 1 cycles need not be Hamiltonian, which is why the
 6-vertex drop starts at k = 5 and not at k = 4.
@@ -305,15 +308,39 @@ class DecompositionResult:
     nodes: int
 
 
+def _odd_complete_cycles(n: int) -> tuple:
+    """The n - 1 Hamiltonian cycles of the complete digraph on odd n.
+
+    a = 0, 1, -1, 2, -2, ..., (n-1)/2 is a sequencing of Z_{n-1}: its
+    consecutive differences 1, -2, 3, -4, ... are the n - 2 nonzero
+    elements, each once.  With vertex 0 as the point at infinity and
+    residue x as vertex x + 1, the cycle (inf, a_1 + g, ..., a_{n-1} + g,
+    inf) for each g in Z_{n-1} gives every arc exactly once: inf leaves
+    for and is entered from each residue once, and each residue x is left
+    once towards x + e for every nonzero difference e.  Cycle g starts
+    with the arc (0, g + 1), so the cycles come sorted by first step.
+    """
+    q = n - 1
+    terrace = [(j + 1) // 2 if j % 2 else -(j // 2) for j in range(q)]
+    return tuple((0,) + tuple((a + g) % q + 1 for a in terrace) + (0,)
+                 for g in range(q))
+
+
 def hamiltonian_decomposition(d: MultiDigraph,
                               node_budget: int | None = None) -> DecompositionResult:
     """Partition all arcs of d into Hamiltonian cycles, or prove none exists.
 
-    The search anchors every cycle at vertex 0: the i-th cycle starts with
-    the i-th smallest outgoing arc of 0 (cycles are recovered sorted by
-    their first step, so each partition is visited once).  EXHAUSTED means
-    the full search space was ruled out; BUDGET means the node budget ran
-    out first and nothing is certified.
+    The simple complete digraph on an odd number of vertices is recognised
+    in O(m) and decomposed by construction (`_odd_complete_cycles`), with
+    0 nodes; the result is checked with `is_valid` and a failed check
+    raises RuntimeError, so no unverified certificate is returned.
+
+    Every other regular digraph is searched.  The search anchors every
+    cycle at vertex 0: the i-th cycle starts with the i-th smallest
+    outgoing arc of 0 (cycles are recovered sorted by their first step, so
+    each partition is visited once).  EXHAUSTED means the full search
+    space was ruled out; BUDGET means the node budget ran out first and
+    nothing is certified.
     """
     n = d.vertex_count
     m = len(d.arcs)
@@ -325,6 +352,15 @@ def hamiltonian_decomposition(d: MultiDigraph,
     for v in range(n):
         if d.out_degree(v) != r or d.in_degree(v) != r:
             return DecompositionResult(EXHAUSTED, None, 0)
+    # m = n(n - 1) distinct ordered pairs u != v are all of them, so d is
+    # the simple complete digraph.
+    if n % 2 and r == n - 1 and \
+            len({(u, v) for (u, v) in d.arcs if u != v}) == m:
+        cert = DecompositionCertificate(d, _odd_complete_cycles(n))
+        if not cert.is_valid():
+            raise RuntimeError("the sequencing construction gave no "
+                               f"decomposition of the complete digraph on {n}")
+        return DecompositionResult(DECOMPOSED, cert, 0)
 
     residual = Counter(d.arcs)
     anchor_heads = sorted(h for (t, h) in d.arcs if t == 0)

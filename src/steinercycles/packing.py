@@ -166,6 +166,11 @@ def canonical_cycle(seq, terminals=None) -> tuple:
 
 def validate_cycle(d: MultiDigraph, seq) -> None:
     """Raise ValueError unless seq is a simple directed cycle of d."""
+    _check_cycle(seq, d.multiplicity)
+
+
+def _check_cycle(seq, mult) -> None:
+    # validate_cycle against a multiplicity Counter of the host
     seq = tuple(int(v) for v in seq)
     if len(seq) < 3 or seq[0] != seq[-1]:
         raise ValueError("a cycle sequence must close on its first vertex "
@@ -176,25 +181,28 @@ def validate_cycle(d: MultiDigraph, seq) -> None:
     for (u, v) in cycle_pairs(seq):
         if u == v:
             raise ValueError(f"loop step ({u}, {v}) in cycle")
-        if not d.has_arc(u, v):
+        if mult[(u, v)] <= 0:
             raise ValueError(f"cycle uses missing arc ({u}, {v})")
 
 
 def verify_packing(packing: CyclePacking) -> bool:
     """Check that a packing is valid: each cycle is a simple directed cycle
     of the host containing every terminal, and across all cycles no ordered
-    pair is used more often than its multiplicity."""
-    d = packing.host
+    pair is used more often than its multiplicity.
+
+    The multiplicities are counted afresh, not read from the host's cached
+    `multiplicity`, so a verified host keeps no Counter afterwards."""
+    mult = Counter(packing.host.arcs)
     usage = Counter()
     for seq in packing.cycles:
         try:
-            validate_cycle(d, seq)
+            _check_cycle(seq, mult)
         except ValueError:
             return False
         if not packing.terminals <= set(seq):
             return False
         usage.update(cycle_pairs(seq))
-    return all(usage[p] <= d.multiplicity[p] for p in usage)
+    return all(usage[p] <= mult[p] for p in usage)
 
 
 def reverse_cycle(d: MultiDigraph, seq) -> tuple:
@@ -232,8 +240,10 @@ def _reduce_instance(d: MultiDigraph, terminals):
 
     Returns (capacity, chains, succ, pred): capacity maps each surviving
     ordered pair to its multiplicity, chains maps it to one via-chain per
-    instance (the tuple of suppressed original vertices between tail and
-    head), and succ/pred are the masks of the surviving pairs.
+    instance (the suppressed original vertices between tail and head),
+    and succ/pred are the masks of the surviving pairs.  A via-chain is
+    kept nested, () or (left, v, right), so a suppression costs O(1)
+    however long its chains are; `_flatten_via` spells one out.
     """
     succ, pred = d.masks()
     capacity = Counter(d.arcs)
@@ -241,8 +251,8 @@ def _reduce_instance(d: MultiDigraph, terminals):
 
     def cut(u, v):
         del capacity[(u, v)]
-        succ[u] &= ~(1 << v)
-        pred[v] &= ~(1 << u)
+        succ[u] ^= 1 << v
+        pred[v] ^= 1 << u
         return chains.pop((u, v))
 
     work = [v for v in range(d.vertex_count) if v not in terminals]
@@ -250,11 +260,12 @@ def _reduce_instance(d: MultiDigraph, terminals):
         v = work.pop()
         heads, tails = succ[v], pred[v]
         if not heads or not tails:
-            for w in bits(heads):
-                cut(v, w)
-            for u in bits(tails):
-                cut(u, v)
-            ends = heads | tails
+            ends = list(bits(heads or tails))
+            for x in ends:
+                if heads:
+                    cut(v, x)
+                else:
+                    cut(x, v)
         elif heads & (heads - 1) or tails & (tails - 1):
             continue
         else:
@@ -262,7 +273,7 @@ def _reduce_instance(d: MultiDigraph, terminals):
             w = heads.bit_length() - 1
             if capacity[(u, v)] > 1 or capacity[(v, w)] > 1:
                 continue
-            via = cut(u, v)[0] + (v,) + cut(v, w)[0]
+            via = (cut(u, v)[0], v, cut(v, w)[0])
             if u != w:
                 # a suppression closing a loop means no simple Steiner
                 # cycle can pass through v at all, so v is just dropped
@@ -270,8 +281,8 @@ def _reduce_instance(d: MultiDigraph, terminals):
                 chains.setdefault((u, w), []).append(via)
                 succ[u] |= 1 << w
                 pred[w] |= 1 << u
-            ends = 1 << u | 1 << w
-        work.extend(x for x in bits(ends) if x not in terminals)
+            ends = sorted({u, w})
+        work.extend(x for x in ends if x not in terminals)
     return capacity, chains, succ, pred
 
 
@@ -377,6 +388,23 @@ def enumerate_steiner_cycles(d: MultiDigraph, terminals, cap: int | None = None)
     return out
 
 
+def _flatten_via(via) -> tuple:
+    """The vertices of a nested via-chain from `_reduce_instance`, in order.
+
+    Iterative, since a chain suppressed along a long path nests as deep as
+    the path is long."""
+    out = []
+    stack = [via]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, int):
+            out.append(item)
+        elif item:
+            left, v, right = item
+            stack += (right, v, left)
+    return tuple(out)
+
+
 def _expand_witness(seqs, chains):
     """Replace merged arcs in reduced cycle sequences by their via-chains."""
     used = Counter()
@@ -386,7 +414,7 @@ def _expand_witness(seqs, chains):
         for pair in cycle_pairs(seq):
             k = used[pair]
             used[pair] += 1
-            orig.extend(chains[pair][k])
+            orig.extend(_flatten_via(chains[pair][k]))
             orig.append(pair[1])
         out.append(tuple(orig))
     return tuple(out)

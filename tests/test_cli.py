@@ -164,6 +164,22 @@ def test_decompose(tmp_path, capsys):
     assert len([ln for ln in lines if ln.startswith("cycle: ")]) == 4
 
 
+def test_decompose_failed_construction_exits_four(tmp_path, capsys,
+                                                  monkeypatch):
+    # An odd complete digraph is decomposed by construction; a construction
+    # that fails its own check is an internal error, and stdout stays empty.
+    import steinercycles.families as families_module
+    monkeypatch.setattr(families_module, "_odd_complete_cycles",
+                        lambda n: ((0, 1, 0),))
+    path = tmp_path / "k5.digraph"
+    path.write_text("n 5\n" + "".join(
+        f"a {u} {v}\n" for u in range(5) for v in range(5) if u != v))
+    assert main(["decompose", "--graph", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RuntimeError")
+
+
 def test_decompose_exhausted(k4_file, capsys):
     assert main(["decompose", "--graph", k4_file]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "status: exhausted"

@@ -7,6 +7,7 @@ from steinercycles import (
     CyclePacking,
     FamilySpec,
     bipartite_value,
+    build_digraph,
     complete_value,
     family_value,
     hamiltonian_decomposition,
@@ -245,19 +246,67 @@ def test_small_packing_exact_on_four():
 
 
 def test_decomposition_odd_complete():
-    for n in (3, 5, 7):
+    # Built from the sequencing of Z_{n-1}, with no search at all.
+    for n in range(3, 102, 2):
         d = make_family(f"complete:{n}")
         res = hamiltonian_decomposition(d)
         assert res.status == "decomposed"
         assert len(res.certificate.cycles) == n - 1
+        assert res.nodes == 0
         assert res.certificate.is_valid()
 
 
+def test_decomposition_recognises_complete_in_any_arc_order():
+    arcs = list(make_family("complete:9").arcs)
+    random.Random(9).shuffle(arcs)
+    res = hamiltonian_decomposition(build_digraph(9, arcs))
+    assert (res.status, res.nodes) == ("decomposed", 0)
+    assert len(res.certificate.cycles) == 8 and res.certificate.is_valid()
+
+
+def test_decomposition_near_complete_inputs_are_searched():
+    # Not the simple complete digraph, so the search decides as before.
+    arcs = list(make_family("complete:7").arcs)
+    ham = (0, 1, 2, 4, 3, 6, 5, 0)
+    ham_arcs = list(zip(ham, ham[1:]))
+    cases = (
+        (arcs[1:], "exhausted", 0),  # one arc removed
+        (arcs + arcs[:1], "exhausted", 0),  # one arc doubled
+        (arcs + ham_arcs, "decomposed", 86),  # a Hamiltonian cycle doubled
+        ([a for a in arcs if a not in ham_arcs], "decomposed", 87),  # removed
+    )
+    for case_arcs, status, nodes in cases:
+        res = hamiltonian_decomposition(build_digraph(7, case_arcs))
+        assert (res.status, res.nodes) == (status, nodes)
+        assert res.certificate is None or res.certificate.is_valid()
+    # (n - 1)-regular on odd n, but with repeated pairs: a doubled 3-cycle.
+    res = hamiltonian_decomposition(build_digraph(3, [(0, 1), (1, 2), (2, 0)] * 2))
+    assert (res.status, res.nodes) == ("decomposed", 4)
+    assert res.certificate.cycles == ((0, 1, 2, 0), (0, 1, 2, 0))
+
+
+def test_decomposition_construction_is_checked(monkeypatch):
+    # A construction whose last cycle skips a vertex must raise, never
+    # come back as decomposed.
+    from steinercycles import families
+    built = families._odd_complete_cycles
+
+    def broken(n):
+        cycles = built(n)
+        return cycles[:-1] + (cycles[-1][:1] + cycles[-1][2:],)
+
+    monkeypatch.setattr(families, "_odd_complete_cycles", broken)
+    with pytest.raises(RuntimeError):
+        hamiltonian_decomposition(make_family("complete:7"))
+
+
 def test_decomposition_even_complete_refuted():
-    for n in (4, 6):
+    # The search refutes both exceptions; its tree is pinned exactly.
+    for n, nodes in ((4, 13), (6, 10271)):
         res = hamiltonian_decomposition(make_family(f"complete:{n}"))
         assert res.status == "exhausted"
         assert res.certificate is None
+        assert res.nodes == nodes
 
 
 def test_decomposition_multipartite():

@@ -285,6 +285,19 @@ def test_verify_packing_rejects_overuse_and_strays():
     assert not verify_packing(CyclePacking(d2, frozenset({0, 2}), ((0, 1, 0),)))
 
 
+def test_verify_packing_caches_nothing_on_the_host():
+    # A host kept after a verify (as a caller's records keep it) must not
+    # carry a multiplicity Counter: verify_packing counts its own.
+    d = _bidirected(5)
+    res = packing_exists(d, {0, 1, 2}, 4)
+    assert res.exists
+    assert verify_packing(res.packing)
+    tri = (0, 1, 2, 0)
+    assert not verify_packing(CyclePacking(d, frozenset({0, 1}), (tri, tri)))
+    assert not verify_packing(CyclePacking(d, frozenset({0, 1}), ((0, 1, 7, 0),)))
+    assert "multiplicity" not in d.__dict__
+
+
 def test_witness_text_round_trip():
     cycles = ((0, 1, 2, 0), (0, 2, 1, 0))
     text = serialize_witness(2, cycles)

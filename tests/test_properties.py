@@ -8,7 +8,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from helpers import multiset_max_packing
-from steinercycles.packing import _reduce_instance
+from steinercycles.packing import _flatten_via, _reduce_instance
 from steinercycles import (
     build_digraph,
     canonical_cycle,
@@ -290,7 +290,7 @@ def test_reduction_keeps_exactly_the_steiner_cycles(instance):
     used = Counter()
     for (u, v), vias in chains.items():
         for via in vias:
-            path = (u,) + via + (v,)
+            path = (u,) + _flatten_via(via) + (v,)
             used.update(zip(path, path[1:]))
     assert all(used[p] <= d.multiplicity[p] for p in used)
     # (b) The input's Steiner cycles are the reduced instance's cycles with
@@ -299,7 +299,7 @@ def test_reduction_keeps_exactly_the_steiner_cycles(instance):
                                              for _ in range(c)])
     expanded = []
     for seq in enumerate_steiner_cycles(reduced, terminals):
-        options = [[via + (v,) for via in set(chains[(u, v)])]
+        options = [[_flatten_via(via) + (v,) for via in set(chains[(u, v)])]
                    for (u, v) in zip(seq, seq[1:])]
         for steps in product(*options):
             expanded.append(seq[:1] + sum(steps, ()))
