@@ -13,14 +13,19 @@ returns a verdict only and builds no embedding.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from functools import cached_property
+import sys
+from collections import deque
 
 
 class MultiDigraph:
-    """A directed multigraph on vertices 0..vertex_count-1, without loops."""
+    """A directed multigraph on vertices 0..vertex_count-1, without loops.
 
-    __slots__ = ("vertex_count", "arcs", "__dict__")
+    A plain value: the vertex count and the arc tuple are all it holds.
+    Adjacency, degrees and multiplicities are built by the caller that
+    needs them (`masks`, `degrees`, `Counter(d.arcs)`), so nothing derived
+    from the arcs stays attached to a digraph after a solve."""
+
+    __slots__ = ("vertex_count", "arcs")
 
     def __init__(self, vertex_count: int, arcs):
         self.vertex_count = vertex_count
@@ -37,17 +42,11 @@ class MultiDigraph:
     def __repr__(self):
         return f"MultiDigraph(n={self.vertex_count}, m={len(self.arcs)})"
 
-    @cached_property
-    def multiplicity(self) -> Counter:
-        """Counter mapping each ordered pair to its number of instances."""
-        return Counter(self.arcs)
-
     def masks(self) -> tuple:
         """(succ, pred): lists of bitmasks over vertex ids; bit w of succ[v]
         is set when an arc leaves v for w, bit u of pred[v] when an arc
         enters v from u.  The one adjacency form of the package, built
-        afresh for the caller to change and not cached, so a digraph kept
-        after a solve holds no per-vertex data of it."""
+        afresh for the caller to change."""
         succ = [0] * self.vertex_count
         pred = [0] * self.vertex_count
         for (u, v) in self.arcs:
@@ -55,55 +54,19 @@ class MultiDigraph:
             pred[v] |= 1 << u
         return succ, pred
 
-    @cached_property
-    def _adjacency(self) -> tuple:
-        # (heads, tails): the distinct neighbours of each vertex, ascending
-        return tuple({v: tuple(bits(m)) for v, m in enumerate(side)}
-                     for side in self.masks())
-
-    @cached_property
-    def _out_degree(self) -> dict:
-        deg = {v: 0 for v in range(self.vertex_count)}
-        for (u, _) in self.arcs:
-            deg[u] += 1
-        return deg
-
-    @cached_property
-    def _in_degree(self) -> dict:
-        deg = {v: 0 for v in range(self.vertex_count)}
-        for (_, v) in self.arcs:
-            deg[v] += 1
-        return deg
-
-    def successors(self, v: int) -> tuple:
-        """Distinct heads of arcs leaving v, ascending."""
-        return self._adjacency[0][v]
-
-    def predecessors(self, v: int) -> tuple:
-        """Distinct tails of arcs entering v, ascending."""
-        return self._adjacency[1][v]
-
-    def out_degree(self, v: int) -> int:
-        """Number of arc instances leaving v."""
-        return self._out_degree[v]
-
-    def in_degree(self, v: int) -> int:
-        """Number of arc instances entering v."""
-        return self._in_degree[v]
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return self.multiplicity[(u, v)] > 0
+    def degrees(self) -> tuple:
+        """(out, in): lists of the number of arc instances leaving and
+        entering each vertex, built afresh for the caller."""
+        out = [0] * self.vertex_count
+        into = [0] * self.vertex_count
+        for (u, v) in self.arcs:
+            out[u] += 1
+            into[v] += 1
+        return out, into
 
     def is_simple(self) -> bool:
         """True when no ordered pair occurs more than once."""
-        return all(c <= 1 for c in self.multiplicity.values())
-
-    @cached_property
-    def twin_classes(self) -> tuple:
-        """Partition of the vertices into classes of pairwise twins: every
-        permutation within a class is an automorphism (see
-        `twin_partition`)."""
-        return twin_partition(*self.masks(), self.multiplicity)
+        return len(set(self.arcs)) == len(self.arcs)
 
 
 def twin_partition(succ, pred, mult) -> tuple:
@@ -233,11 +196,13 @@ class Graph:
 def build_digraph(vertex_count: int, arcs) -> MultiDigraph:
     """Validate and build a MultiDigraph.
 
-    Raises ValueError for a negative vertex count, an out-of-range endpoint,
-    or a loop arc.  Parallel arcs are kept, in the given order.
+    Raises ValueError for a negative vertex count or one above sys.maxsize
+    (no per-vertex list could be built), an out-of-range endpoint, or a
+    loop arc.  Parallel arcs are kept, in the given order.
     """
-    if vertex_count < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {vertex_count}")
+    if not 0 <= vertex_count <= sys.maxsize:
+        raise ValueError(f"vertex count must be between 0 and {sys.maxsize}, "
+                         f"got {vertex_count}")
     checked = []
     for arc in arcs:
         u, v = int(arc[0]), int(arc[1])
@@ -289,9 +254,8 @@ def underlying_graph(d: MultiDigraph) -> Graph:
 
 def min_semi_degree(d: MultiDigraph) -> int:
     """min over all vertices of min(out-degree, in-degree), with multiplicity."""
-    if d.vertex_count == 0:
-        return 0
-    return min(min(d.out_degree(v), d.in_degree(v)) for v in range(d.vertex_count))
+    out, into = d.degrees()
+    return min(map(min, out, into), default=0)
 
 
 def is_eulerian(d: MultiDigraph) -> bool:
@@ -300,16 +264,14 @@ def is_eulerian(d: MultiDigraph) -> bool:
     Balanced means in-degree equals out-degree counting multiplicities.
     Isolated vertices count against connectivity.
     """
-    for v in range(d.vertex_count):
-        if d.out_degree(v) != d.in_degree(v):
-            return False
-    return underlying_graph(d).is_connected()
+    out, into = d.degrees()
+    return out == into and underlying_graph(d).is_connected()
 
 
 def is_symmetric(d: MultiDigraph) -> bool:
     """True iff every arc (u, v) has the reverse arc (v, u) present."""
-    mult = d.multiplicity
-    return all(mult[(v, u)] > 0 for (u, v) in mult if mult[(u, v)] > 0)
+    pairs = set(d.arcs)
+    return all((v, u) in pairs for (u, v) in pairs)
 
 
 def subdivide_arc(d: MultiDigraph, arc) -> MultiDigraph:

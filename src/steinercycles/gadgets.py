@@ -76,7 +76,8 @@ def _require_simple(d: MultiDigraph, what: str) -> None:
 
 def _excesses(d: MultiDigraph, extra_arcs):
     """Per-vertex out-degree minus in-degree after adding extra_arcs."""
-    exc = [d.out_degree(v) - d.in_degree(v) for v in range(d.vertex_count)]
+    out, into = d.degrees()
+    exc = [o - i for o, i in zip(out, into)]
     for (u, v) in extra_arcs:
         exc[u] += 1
         exc[v] -= 1

@@ -23,6 +23,7 @@ from .gadgets import GadgetOutput, LinkageInstance, eulerian_gadget, \
 from .oracles import arc_disjoint_demand_paths, hamiltonian_cycle, \
     symmetric_two_packing_decision, weak_two_linkage
 from .packing import packing_exists
+from .search import check_budget
 
 DEFAULT_SEED = 1729
 _RESAMPLE_LIMIT = 10_000
@@ -219,6 +220,7 @@ def _verdict(gadget: GadgetOutput, node_budget):
 
 def run_replacement(count: int, seed: int = DEFAULT_SEED,
                     node_budget: int | None = None) -> list:
+    check_budget(node_budget)
     rows = []
     for instance_id, g, _, gadget in replacement_instances(count, seed):
         oracle = hamiltonian_cycle(g).decision
@@ -229,6 +231,7 @@ def run_replacement(count: int, seed: int = DEFAULT_SEED,
 
 def run_eulerian(count: int, seed: int = DEFAULT_SEED,
                  node_budget: int | None = None) -> list:
+    check_budget(node_budget)
     rows = []
     for instance_id, inst, gadget in eulerian_instances(count, seed):
         oracle = weak_two_linkage(inst.digraph, inst.s1, inst.t1,
@@ -240,6 +243,7 @@ def run_eulerian(count: int, seed: int = DEFAULT_SEED,
 
 def run_planar(count: int, seed: int = DEFAULT_SEED,
                node_budget: int | None = None) -> list:
+    check_budget(node_budget)
     rows = []
     for instance_id, inst, gadget in planar_instances(count, seed):
         oracle = arc_disjoint_demand_paths(inst.digraph, inst.s1, inst.t1,
@@ -252,6 +256,7 @@ def run_planar(count: int, seed: int = DEFAULT_SEED,
 
 def run_symmetric(count: int, seed: int = DEFAULT_SEED,
                   node_budget: int | None = None) -> list:
+    check_budget(node_budget)
     rows = []
     for instance_id, d, terminals in symmetric_instances(count, seed):
         oracle = symmetric_two_packing_decision(d, terminals)

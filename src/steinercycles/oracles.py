@@ -18,7 +18,7 @@ witness found, so answers are deterministic.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 
 from .digraph import Graph, MultiDigraph, is_symmetric, underlying_graph, \
@@ -44,6 +44,14 @@ def _check_four_distinct(d: MultiDigraph, terms) -> None:
 def _pairs(path):
     """Consecutive ordered pairs of a path."""
     return zip(path, path[1:])
+
+
+def _heads(d: MultiDigraph) -> dict:
+    """Map each vertex with an arc out to its distinct heads, ascending."""
+    heads = defaultdict(set)
+    for (u, v) in d.arcs:
+        heads[u].add(v)
+    return {u: sorted(hs) for u, hs in heads.items()}
 
 
 def _lex_paths(adj, has_cap, s, t, lower=None):
@@ -133,8 +141,8 @@ def weak_two_linkage(d: MultiDigraph, s1, t1, s2, t2) -> OracleAnswer:
     witness is the lexicographically first path pair.
     """
     _check_four_distinct(d, (s1, t1, s2, t2))
-    adj = {v: d.successors(v) for v in range(d.vertex_count)}
-    residual = dict(d.multiplicity)
+    adj = _heads(d)
+    residual = Counter(d.arcs)
 
     def has_cap(u, v):
         return residual.get((u, v), 0) > 0
@@ -163,10 +171,10 @@ def arc_disjoint_demand_paths(d: MultiDigraph, s1, t1, d1: int,
     _check_four_distinct(d, (s1, t1, s2, t2))
     if d1 < 1 or d2 < 1:
         raise ValueError(f"demands must be at least 1, got {(d1, d2)}")
-    caps = dict(d.multiplicity)
+    caps = Counter(d.arcs)
     if _max_flow(caps, s1, t1) < d1 or _max_flow(caps, s2, t2) < d2:
         return OracleAnswer(False, None)
-    adj = {v: d.successors(v) for v in range(d.vertex_count)}
+    adj = _heads(d)
     residual = dict(caps)
 
     def has_cap(u, v):
@@ -244,12 +252,13 @@ def _steiner_cycle_exists(d: MultiDigraph, terminals) -> bool:
     Grows simple paths from the smallest terminal, neighbours in ascending
     order, and closes a path back to it once every terminal is on it.
     """
+    adj = _heads(d)
     start = min(terminals)
     path = [start]
     on_path = {start}
 
     def rec():
-        for w in d.successors(path[-1]):
+        for w in adj.get(path[-1], ()):
             if w == start:
                 if len(path) >= 2 and terminals <= on_path:
                     return True

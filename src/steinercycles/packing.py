@@ -103,7 +103,7 @@ from itertools import chain
 
 from .digraph import MultiDigraph, bits, is_symmetric, twin_partition, \
     validate_terminals
-from .search import BudgetHit, Nodes
+from .search import BudgetHit, Nodes, check_budget
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def canonical_cycle(seq, terminals=None) -> tuple:
 
 def validate_cycle(d: MultiDigraph, seq) -> None:
     """Raise ValueError unless seq is a simple directed cycle of d."""
-    _check_cycle(seq, d.multiplicity)
+    _check_cycle(seq, Counter(d.arcs))
 
 
 def _check_cycle(seq, mult) -> None:
@@ -188,10 +188,7 @@ def _check_cycle(seq, mult) -> None:
 def verify_packing(packing: CyclePacking) -> bool:
     """Check that a packing is valid: each cycle is a simple directed cycle
     of the host containing every terminal, and across all cycles no ordered
-    pair is used more often than its multiplicity.
-
-    The multiplicities are counted afresh, not read from the host's cached
-    `multiplicity`, so a verified host keeps no Counter afterwards."""
+    pair is used more often than its multiplicity."""
     mult = Counter(packing.host.arcs)
     usage = Counter()
     for seq in packing.cycles:
@@ -230,8 +227,7 @@ class _SearchDone(Exception):
 def _reduce_instance(d: MultiDigraph, terminals):
     """Terminal-preserving reduction; see the module docstring.
 
-    One worklist pass over `d.masks()` and the multiplicities, both built
-    afresh (not `d.multiplicity`, which would stay cached on d).  A
+    One worklist pass over `d.masks()` and the multiplicities.  A
     non-terminal without in-arcs or without out-arcs loses its arcs; one
     with exactly one arc instance in, (u, v), and one out, (v, w), is
     suppressed onto a merged arc (u, w).  A step changes no degree but
@@ -646,6 +642,7 @@ def max_cycle_packing(d: MultiDigraph, terminals,
     The result is certified unless the node budget ran out first, in which
     case `value` is the best packing size found so far (a lower bound).
     """
+    check_budget(node_budget)
     terminals = validate_terminals(d, terminals)
     seqs, certified, nodes, _ = _solve(d, terminals, None, node_budget)
     packing = CyclePacking(d, terminals, seqs)
@@ -660,6 +657,7 @@ def packing_exists(d: MultiDigraph, terminals, size: int,
     negative answer is certified only when the search exhausted (rather than
     hitting the node budget).
     """
+    check_budget(node_budget)
     if size < 1:
         raise ValueError("size must be at least 1")
     terminals = validate_terminals(d, terminals)
@@ -696,7 +694,8 @@ def _orbit_representatives(d: MultiDigraph, k: int):
     prev = None
     for subset in subsets:
         if prev is None:
-            prev = {c[i]: c[i - 1] for c in d.twin_classes
+            prev = {c[i]: c[i - 1]
+                    for c in twin_partition(*d.masks(), Counter(d.arcs))
                     for i in range(1, len(c))}
         if all(v not in prev or prev[v] in subset for v in subset):
             yield subset
@@ -709,7 +708,7 @@ def min_packing_number(d: MultiDigraph, k: int,
     Terminal sets are scanned in colexicographic order with an early exit
     once a certified zero appears (no smaller value is possible), and only
     one set per orbit is solved.  The orbits are those of the group
-    generated by the transpositions of twins (`MultiDigraph.twin_classes`):
+    generated by the transpositions of twins (`twin_partition`):
     each such transposition is checked to map the arc multiset onto
     itself, so every set in an orbit has the same packing value.  The set
     solved for an orbit is the one that meets every twin class in a prefix
@@ -719,6 +718,7 @@ def min_packing_number(d: MultiDigraph, k: int,
     `certified` are those of the scan over every k-subset; only `nodes` can
     be smaller.  A node budget is shared by the sets solved, in scan order.
     """
+    check_budget(node_budget)
     n = d.vertex_count
     if not 2 <= k <= n:
         raise ValueError(f"k must be between 2 and {n}, got {k}")

@@ -15,7 +15,7 @@ def brute_steiner_cycles(d, terminals):
     canonical vertex tuples (closed, rotated to start at the smallest
     vertex)."""
     terminals = frozenset(terminals)
-    mult = d.multiplicity
+    mult = Counter(d.arcs)
     found = set()
     others = [v for v in range(d.vertex_count) if v not in terminals]
     for extra_size in range(len(others) + 1):
@@ -48,7 +48,7 @@ def brute_max_packing(d, terminals):
 def multiset_max_packing(d, cycles):
     """Size of the largest multiset of the given cycles that uses no ordered
     pair more often than its multiplicity in d."""
-    caps = d.multiplicity
+    caps = Counter(d.arcs)
     arcsets = [Counter(zip(seq, seq[1:])) for seq in cycles]
     best = 0
 
@@ -70,8 +70,16 @@ def brute_min_packing(d, k):
                for s in combinations(range(d.vertex_count), k))
 
 
+def _successors(d):
+    """Map each vertex to the set of heads of its out-arcs."""
+    adj = {v: set() for v in range(d.vertex_count)}
+    for (u, v) in d.arcs:
+        adj[u].add(v)
+    return adj
+
+
 def _simple_paths(d, s, t):
-    adj = {v: d.successors(v) for v in range(d.vertex_count)}
+    adj = _successors(d)
     out = []
 
     def rec(path, seen):
@@ -90,7 +98,8 @@ def _simple_paths(d, s, t):
 def brute_two_linkage(d, s1, t1, s2, t2):
     """Arc-disjoint s1->t1 and s2->t2 paths exist?  Enumerate the first,
     check reachability in what is left."""
-    caps = d.multiplicity
+    caps = Counter(d.arcs)
+    adj = _successors(d)
     for p1 in _simple_paths(d, s1, t1):
         residual = caps - Counter(zip(p1, p1[1:]))
         seen = {s2}
@@ -99,7 +108,7 @@ def brute_two_linkage(d, s1, t1, s2, t2):
             v = stack.pop()
             if v == t2:
                 break
-            for w in d.successors(v):
+            for w in adj[v]:
                 if w not in seen and residual[(v, w)] > 0:
                     seen.add(w)
                     stack.append(w)
@@ -114,7 +123,7 @@ def brute_demand_paths(d, s1, t1, d1, s2, t2, d2):
     exist?  Multiset choices over the two simple-path lists."""
     from itertools import combinations_with_replacement as cwr
 
-    caps = d.multiplicity
+    caps = Counter(d.arcs)
     p1s = _simple_paths(d, s1, t1)
     p2s = _simple_paths(d, s2, t2)
     if len(p1s) == 0 and d1 > 0 or len(p2s) == 0 and d2 > 0:

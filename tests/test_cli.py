@@ -38,6 +38,39 @@ def test_solve_budget_exit_code(k4_file, capsys):
     assert value <= 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--graph", "{k4}", "--S", "0,1"],
+    ["lambda-k", "--graph", "{k4}", "--k", "2"],
+    ["decompose", "--graph", "{k5}"],
+    ["harness", "--family", "symmetric", "--count", "1"],
+], ids=["solve", "lambda-k", "decompose", "harness"])
+def test_negative_budget_is_usage_error(argv, k4_file, tmp_path, capsys):
+    # A negative budget is refused before any work, also where no search
+    # node would be needed (K5 is decomposed by construction).
+    k5 = tmp_path / "k5.digraph"
+    k5.write_text(serialize_digraph(make_family("complete:5")))
+    argv = [a.format(k4=k4_file, k5=k5) for a in argv]
+    assert main(argv + ["--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "node budget must be nonnegative" in captured.err
+
+
+def test_oversized_vertex_count_is_usage_error(tmp_path, capsys):
+    # A count above sys.maxsize fits no per-vertex list, so parsing refuses
+    # it; nothing is allocated.
+    graph = tmp_path / "huge.digraph"
+    graph.write_text(f"n {10 ** 20}\n")
+    net = tmp_path / "huge.flow"
+    net.write_text(f"n {10 ** 20}\na 0 1 1\nsource 0\nsink 1\n")
+    for argv in (["solve", "--graph", str(graph), "--S", "0,1"],
+                 ["flow-decompose", "--network", str(net)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "vertex count" in captured.err
+
+
 def test_lambda_k_output(k4_file, capsys):
     assert main(["lambda-k", "--graph", k4_file, "--k", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -35,6 +36,11 @@ def test_build_rejects_loops_and_range():
         build_digraph(3, [(0, 3)])
     with pytest.raises(ValueError):
         build_digraph(-1, [])
+    # No per-vertex list can be longer than sys.maxsize; building the
+    # digraph itself allocates nothing per vertex.
+    with pytest.raises(ValueError):
+        build_digraph(sys.maxsize + 1, [])
+    assert build_digraph(sys.maxsize, [(0, 1)]).vertex_count == sys.maxsize
     with pytest.raises(ValueError):
         build_graph(2, [(1, 1)])
 
@@ -42,20 +48,63 @@ def test_build_rejects_loops_and_range():
 def test_parallel_arcs_kept_in_order():
     d = build_digraph(2, [(0, 1), (0, 1), (1, 0)])
     assert d.arcs == ((0, 1), (0, 1), (1, 0))
-    assert d.multiplicity[(0, 1)] == 2
-    assert d.out_degree(0) == 2
-    assert d.successors(0) == (1,)
+    assert Counter(d.arcs)[(0, 1)] == 2
+    assert d.degrees()[0][0] == 2
+    assert d.masks()[0][0] == 1 << 1
     assert not d.is_simple()
 
 
 def test_degrees_and_adjacency():
     d = build_digraph(4, [(0, 1), (0, 2), (2, 1), (3, 0)])
-    assert d.successors(0) == (1, 2)
-    assert d.predecessors(1) == (0, 2)
-    assert d.in_degree(1) == 2
-    assert d.out_degree(1) == 0
+    succ, pred = d.masks()
+    assert succ[0] == 1 << 1 | 1 << 2
+    assert pred[1] == 1 << 0 | 1 << 2
+    out, into = d.degrees()
+    assert into[1] == 2
+    assert out[1] == 0
+    assert (out, into) == ([2, 0, 1, 1], [1, 2, 1, 0])
     assert min_semi_degree(d) == 0
-    assert d.has_arc(3, 0) and not d.has_arc(0, 3)
+    assert succ[3] & 1 << 0 and not succ[0] & 1 << 3
+
+
+def test_no_layer_leaves_state_on_a_digraph():
+    # A MultiDigraph holds its vertex count and arcs and has no room for
+    # anything else, so no layer can cache a view of the arcs on a host it
+    # was given: not the solver, the verifier, the decomposition and its
+    # check, the oracles, the gadgets, or the predicates.
+    from steinercycles import (LinkageInstance, arc_disjoint_demand_paths,
+                               eulerian_gadget, hamiltonian_decomposition,
+                               make_family, max_cycle_packing,
+                               min_packing_number, packing_exists,
+                               planar_gadget, replacement_gadget,
+                               symmetric_two_packing_decision, verify_packing,
+                               weak_two_linkage)
+    k5 = make_family("complete:5")
+    assert verify_packing(max_cycle_packing(k5, {0, 1, 2}).packing)
+    assert min_packing_number(k5, 3).certified
+    assert hamiltonian_decomposition(k5).certificate.is_valid()
+    grid = _bidirected(4)
+    assert hamiltonian_decomposition(grid).status == "exhausted"
+    assert symmetric_two_packing_decision(k5, {0, 1})
+    assert symmetric_two_packing_decision(k5, {0, 1, 2})
+    assert weak_two_linkage(grid, 0, 3, 1, 2).decision
+    assert arc_disjoint_demand_paths(grid, 0, 3, 1, 1, 2, 1).decision
+    gadgets = [eulerian_gadget(LinkageInstance(grid, 0, 3, 1, 2), 3),
+               planar_gadget(LinkageInstance(grid, 0, 3, 1, 2, 1, 1), 2),
+               replacement_gadget(underlying_graph(grid), 2)]
+    hosts = [k5, grid]
+    for gadget in gadgets:
+        d = gadget.digraph
+        res = packing_exists(d, gadget.terminals, gadget.threshold)
+        assert res.certified
+        assert not res.exists or verify_packing(res.packing)
+        for predicate in (is_eulerian, is_planar, is_symmetric, min_semi_degree):
+            predicate(d)
+        hosts.append(d)
+    for d in hosts:
+        assert not hasattr(d, "__dict__")
+        with pytest.raises(AttributeError):
+            d.foo = 1
 
 
 def test_validate_terminals():
@@ -101,8 +150,9 @@ def test_subdivide_arc():
     d = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
     d2 = subdivide_arc(d, (1, 2))
     assert d2.vertex_count == 4
-    assert d2.multiplicity[(1, 2)] == 0
-    assert d2.multiplicity[(1, 3)] == 1 and d2.multiplicity[(3, 2)] == 1
+    mult = Counter(d2.arcs)
+    assert mult[(1, 2)] == 0
+    assert mult[(1, 3)] == 1 and mult[(3, 2)] == 1
     assert is_eulerian(d2)
     with pytest.raises(ValueError):
         subdivide_arc(d, (0, 2))
@@ -111,8 +161,9 @@ def test_subdivide_arc():
 def test_subdivide_takes_one_instance_of_parallel_pair():
     d = build_digraph(2, [(0, 1), (0, 1), (1, 0)])
     d2 = subdivide_arc(d, (0, 1))
-    assert d2.multiplicity[(0, 1)] == 1
-    assert d2.multiplicity[(0, 2)] == 1 and d2.multiplicity[(2, 1)] == 1
+    mult = Counter(d2.arcs)
+    assert mult[(0, 1)] == 1
+    assert mult[(0, 2)] == 1 and mult[(2, 1)] == 1
 
 
 def test_planarity_small_cases():

@@ -57,9 +57,10 @@ def test_eulerian_gadget_structure():
     assert gadget.digraph.is_simple()
     assert is_eulerian(gadget.digraph)
     # every ring vertex is saturated at the threshold
+    out, into = gadget.digraph.degrees()
     for v in gadget.terminals:
-        assert gadget.digraph.out_degree(v) == gadget.threshold
-        assert gadget.digraph.in_degree(v) == gadget.threshold
+        assert out[v] == gadget.threshold
+        assert into[v] == gadget.threshold
 
 
 def test_eulerian_gadget_ring_degrees_with_helpers():
@@ -69,9 +70,10 @@ def test_eulerian_gadget_ring_degrees_with_helpers():
         gadget = eulerian_gadget(inst, k)
         assert len(gadget.terminals) == k
         assert gadget.digraph.is_simple()
+        out, into = gadget.digraph.degrees()
         for v in gadget.terminals:
-            assert gadget.digraph.out_degree(v) == gadget.threshold
-            assert gadget.digraph.in_degree(v) == gadget.threshold
+            assert out[v] == gadget.threshold
+            assert into[v] == gadget.threshold
 
 
 def test_eulerian_gadget_packs_threshold_on_yes_instance():

@@ -25,7 +25,7 @@ def _path_arcs_ok(d, path, s, t):
         return False
     if len(set(path)) != len(path):
         return False
-    return all(d.has_arc(u, v) for u, v in zip(path, path[1:]))
+    return all((u, v) in d.arcs for u, v in zip(path, path[1:]))
 
 
 def _arc_usage_within_caps(d, paths):
@@ -34,7 +34,8 @@ def _arc_usage_within_caps(d, paths):
     usage = Counter()
     for p in paths:
         usage.update(zip(p, p[1:]))
-    return all(usage[a] <= d.multiplicity[a] for a in usage)
+    caps = Counter(d.arcs)
+    return all(usage[a] <= caps[a] for a in usage)
 
 
 def test_two_linkage_hand_cases():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -19,6 +20,7 @@ from steinercycles import (
     validate_cycle,
     verify_packing,
 )
+from steinercycles.digraph import twin_partition
 from steinercycles.families import make_family
 from steinercycles.packing import _colex_subsets, _enumerate_cycles, cycle_pairs
 from helpers import (
@@ -107,7 +109,7 @@ def test_enumerate_mid_search_matches_filtered_listing():
         full = enumerate_steiner_cycles(d, terms)
         if not full:
             continue
-        support = sorted(d.multiplicity)
+        support = sorted(set(d.arcs))
         saturated = set(rng.sample(support, rng.randint(0, len(support) // 2)))
         succ = [0] * d.vertex_count
         pred = [0] * d.vertex_count
@@ -203,7 +205,7 @@ def test_orbit_scan_solves_one_set_on_complete():
     # scan solves {0..k-1} alone and matches the minimum over every k-set
     for n, k in [(4, 2), (4, 3), (5, 2), (5, 4)]:
         d = _bidirected(n)
-        assert d.twin_classes == (tuple(range(n)),)
+        assert twin_partition(*d.masks(), Counter(d.arcs)) == (tuple(range(n)),)
         res = min_packing_number(d, k)
         assert res.certified
         assert res.value == min(max_cycle_packing(d, s).value
@@ -285,9 +287,29 @@ def test_verify_packing_rejects_overuse_and_strays():
     assert not verify_packing(CyclePacking(d2, frozenset({0, 2}), ((0, 1, 0),)))
 
 
+def test_negative_node_budget_is_refused_before_any_work():
+    # Each entry point that takes a budget checks it first: the invalid
+    # terminal set, k and corpus count below are never looked at.
+    from steinercycles.families import hamiltonian_decomposition
+    from steinercycles.harness import FAMILIES
+    d = _bidirected(4)
+    calls = [lambda: max_cycle_packing(d, {0}, node_budget=-1),
+             lambda: packing_exists(d, {0}, 0, node_budget=-1),
+             lambda: min_packing_number(d, 1, node_budget=-1),
+             lambda: hamiltonian_decomposition(d, node_budget=-1)]
+    calls += [lambda run=run: run(0, node_budget=-1) for run in FAMILIES.values()]
+    for call in calls:
+        with pytest.raises(ValueError, match="node budget must be nonnegative"):
+            call()
+    # Budget 0 still means that no search node may be spent.
+    assert not max_cycle_packing(d, {0, 1}, node_budget=0).certified
+    assert hamiltonian_decomposition(make_family("complete:5"),
+                                     node_budget=0).status == "decomposed"
+
+
 def test_verify_packing_caches_nothing_on_the_host():
     # A host kept after a verify (as a caller's records keep it) must not
-    # carry a multiplicity Counter: verify_packing counts its own.
+    # carry a multiplicity Counter, and a MultiDigraph has no room for one.
     d = _bidirected(5)
     res = packing_exists(d, {0, 1, 2}, 4)
     assert res.exists
@@ -295,7 +317,9 @@ def test_verify_packing_caches_nothing_on_the_host():
     tri = (0, 1, 2, 0)
     assert not verify_packing(CyclePacking(d, frozenset({0, 1}), (tri, tri)))
     assert not verify_packing(CyclePacking(d, frozenset({0, 1}), ((0, 1, 7, 0),)))
-    assert "multiplicity" not in d.__dict__
+    assert not hasattr(d, "__dict__")
+    with pytest.raises(AttributeError):
+        d.multiplicity = Counter(d.arcs)
 
 
 def test_witness_text_round_trip():

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from helpers import multiset_max_packing
+from steinercycles.digraph import twin_partition
 from steinercycles.packing import _flatten_via, _reduce_instance
 from steinercycles import (
     build_digraph,
@@ -78,7 +79,8 @@ def test_packing_value_bounded_by_terminal_degrees(seed):
     k = rng.randint(2, min(3, d.vertex_count))
     terms = frozenset(rng.sample(range(d.vertex_count), k))
     res = max_cycle_packing(d, terms)
-    bound = min(min(d.out_degree(v), d.in_degree(v)) for v in terms)
+    out, into = d.degrees()
+    bound = min(min(out[v], into[v]) for v in terms)
     assert res.value <= bound
     assert verify_packing(res.packing)
 
@@ -162,12 +164,12 @@ def _twinned_multidigraphs(draw):
 def _swap_preserves_arcs(d, r, v):
     def image(x):
         return v if x == r else r if x == v else x
-    return Counter((image(a), image(b)) for (a, b) in d.arcs) == d.multiplicity
+    return Counter((image(a), image(b)) for (a, b) in d.arcs) == Counter(d.arcs)
 
 
 @given(_twinned_multidigraphs())
 def test_twin_classes_are_exactly_the_swappable_pairs(d):
-    classes = d.twin_classes
+    classes = twin_partition(*d.masks(), Counter(d.arcs))
     assert sorted(v for c in classes for v in c) == list(range(d.vertex_count))
     assert [c[0] for c in classes] == sorted(c[0] for c in classes)
     cls = {v: c for c in classes for v in c}
@@ -233,7 +235,8 @@ def test_tight_decision_matches_multiset_reference(instance):
     # arc at a tight terminal: it forces the first arc at s0 and promotes
     # the non-terminals that every cycle must pass.
     d, terminals = instance
-    bound = min(min(d.out_degree(s), d.in_degree(s)) for s in terminals)
+    out, into = d.degrees()
+    bound = min(min(out[s], into[s]) for s in terminals)
     assume(bound >= 1)
     want = multiset_max_packing(d, enumerate_steiner_cycles(d, terminals))
     dec = packing_exists(d, terminals, bound)
@@ -292,7 +295,8 @@ def test_reduction_keeps_exactly_the_steiner_cycles(instance):
         for via in vias:
             path = (u,) + _flatten_via(via) + (v,)
             used.update(zip(path, path[1:]))
-    assert all(used[p] <= d.multiplicity[p] for p in used)
+    mult = Counter(d.arcs)
+    assert all(used[p] <= mult[p] for p in used)
     # (b) The input's Steiner cycles are the reduced instance's cycles with
     # every merged arc expanded over each of its via-chains.
     reduced = build_digraph(d.vertex_count, [p for p, c in capacity.items()
