@@ -9,9 +9,9 @@ pair does not exceed its multiplicity in the host.
 
 The solver is a branch-and-bound over canonical cycles.  Packings are
 explored as lexicographically sorted multisets (repeats are only possible
-when parallel arcs supply capacity).  The only bound is the terminal degree
-bound: a Steiner cycle passes every terminal exactly once, on one outgoing
-and one incoming arc instance, so at most min over terminals of
+when parallel arcs supply capacity).  The first bound is the terminal
+degree bound: a Steiner cycle passes every terminal exactly once, on one
+outgoing and one incoming arc instance, so at most min over terminals of
 min(out-degree, in-degree) cycles fit.  A decision whose target exceeds it
 is refuted without search, and a search that reaches it is optimal
 outright.  The cycle enumerator keeps the residual support as successor
@@ -50,6 +50,21 @@ that terminal is used, each by a different cycle.  Two exact rules follow.
   worklist suffice.  The search, and its twin group, then runs on the
   enlarged set, with s0 still the smallest of the caller's terminals so
   witnesses keep their canonical rotation.
+
+The second bound, in decision mode only, is the arc cut κ, the least
+maxflow(x→y) over ordered pairs of terminals on the reduced instance.
+Each cycle of a packing holds an x→y path, and the cycles are
+arc-disjoint, so by Menger no more than maxflow(x→y) of them fit.  Local
+arc-connectivity is transitive, maxflow(x→z) ≥ min(maxflow(x→y),
+maxflow(y→z)), so the flows between consecutive terminals in ascending
+cyclic order already give κ.  The terminals are those after the forced
+vertices above have joined, which every cycle of a target-packing passes.
+Each flow first counts the arc-disjoint paths x→y and x→w→y, then takes
+unit augmenting paths if those fall short, and stops at the target; a
+target above κ is refuted.  The cut is computed once, at the search's
+first backtrack, by the same lazy rule as the twin group below: a
+decision settled on its first descent, as many yes-instances are, never
+pays for its |S| flows.
 
 The search branches on one cycle per orbit (orbital branching: Ostrowski,
 Linderoth, Rossi and Smriglio, Math. Programming 126, 2011).  The group
@@ -91,8 +106,8 @@ at least one arc instance and pushes back only the endpoints of the arcs
 it removed, so the pass takes O(n + m) steps.
 
 All solver entry points take an optional node budget; results say whether
-they are certified (search ran to completion or hit the degree bound) or
-were cut short.
+they are certified (search ran to completion or hit a bound) or were cut
+short.
 """
 
 from __future__ import annotations
@@ -100,6 +115,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 
 from .digraph import MultiDigraph, bits, is_symmetric, twin_partition, \
     validate_terminals
@@ -158,6 +174,8 @@ def canonical_cycle(seq, terminals=None) -> tuple:
     """Rotate a cycle sequence so the smallest terminal (or vertex) is first."""
     body = tuple(seq[:-1]) if seq[0] == seq[-1] else tuple(seq)
     anchor_pool = set(body) & set(terminals) if terminals else set(body)
+    if not anchor_pool:
+        raise ValueError("the cycle passes no terminal")
     anchor = min(anchor_pool)
     i = body.index(anchor)
     rotated = body[i:] + body[:i]
@@ -507,6 +525,63 @@ def _forced_terminals(capacity, succ, pred, out_deg, in_deg, terminals, t):
     return frozenset(forced)
 
 
+def _capped_flow(succ, pred, capacity, x, y, goal) -> int:
+    """The maximum number of arc-disjoint x→y paths, stopped at goal.
+
+    The paths of one arc, x→y, and of two, x→w→y, are arc-disjoint; when
+    they reach the goal no search is needed, as in a complete digraph.
+    Otherwise unit augmenting paths, each found by a breadth-first search
+    over residual successor masks: `res[u]` holds every w with residual
+    capacity on (u, w), that is capacity[(u, w)] minus the net flow on it.
+    """
+    short = capacity.get((x, y), 0) + sum(
+        min(capacity[(x, w)], capacity[(w, y)]) for w in bits(succ[x] & pred[y]))
+    if short >= goal:
+        return goal
+    res = list(succ)
+    net = Counter()
+    flow = 0
+    while flow < goal:
+        parent = {x: None}
+        seen = 1 << x
+        frontier = [x]
+        while frontier and y not in parent:
+            nxt = []
+            for u in frontier:
+                new = res[u] & ~seen
+                seen |= new
+                for w in bits(new):
+                    parent[w] = u
+                    nxt.append(w)
+            frontier = nxt
+        if y not in parent:
+            break
+        v = y
+        while v != x:
+            u = parent[v]
+            net[(u, v)] += 1
+            net[(v, u)] -= 1
+            if capacity.get((u, v), 0) == net[(u, v)]:
+                res[u] &= ~(1 << v)
+            res[v] |= 1 << u
+            v = u
+        flow += 1
+    return flow
+
+
+def _cut_bound(succ, pred, capacity, terminals, goal) -> int:
+    """min(goal, κ), where κ is the least maxflow(x→y) over ordered pairs
+    of terminals; see the module docstring.
+
+    By transitivity the pairs of consecutive terminals in ascending cyclic
+    order suffice, and each flow stops at the least value found so far.
+    """
+    order = sorted(terminals)
+    for x, y in zip(order, order[1:] + order[:1]):
+        goal = _capped_flow(succ, pred, capacity, x, y, goal)
+    return goal
+
+
 def _solve(d: MultiDigraph, terminals, target, node_budget):
     """Shared branch-and-bound core.
 
@@ -564,8 +639,13 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
 
     def partition_here():
         # The root's twin partition, stabilised by every cycle taken so far.
+        # Its first call is the search's first backtrack, where a decision
+        # first checks the cut bound on the root's reduced instance.
         nonlocal group
         if group is None:
+            if target is not None and _cut_bound(
+                    *support, capacity, terminals, target) < target:
+                raise _SearchDone
             group = _twin_group(*support, capacity, terminals, s0)
         part = group
         for seq in cur:
@@ -658,6 +738,8 @@ def packing_exists(d: MultiDigraph, terminals, size: int,
     hitting the node budget).
     """
     check_budget(node_budget)
+    if not isinstance(size, Integral):
+        raise ValueError(f"size must be an integer, got {size!r}")
     if size < 1:
         raise ValueError("size must be at least 1")
     terminals = validate_terminals(d, terminals)

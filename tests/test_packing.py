@@ -62,6 +62,11 @@ def test_canonical_cycle_rotation():
     assert canonical_cycle((0, 3, 1, 0), terminals={1, 3}) == (1, 0, 3, 1)
 
 
+def test_canonical_cycle_refuses_a_cycle_through_no_terminal():
+    with pytest.raises(ValueError, match="passes no terminal"):
+        canonical_cycle((1, 2, 3, 1), terminals={0, 4})
+
+
 def test_enumerate_bidirected_k4():
     d = _bidirected(4)
     cycles = enumerate_steiner_cycles(d, {0, 1})
@@ -243,6 +248,26 @@ def test_search_tree_pinned():
     assert res.packing.cycles == (
         (0, 2, 1, 4, 3, 5, 0), (0, 3, 1, 5, 2, 4, 0),
         (0, 4, 1, 2, 5, 3, 0), (0, 5, 1, 3, 4, 2, 0))
+
+
+def test_cut_bound_refutes_at_the_first_backtrack():
+    # Two bidirected K5s joined by the arcs 4->5 and 9->0: the degree bound
+    # of {0, 9} is 4, but every Steiner cycle crosses 4->5, so
+    # maxflow(0->9) = 1 and each decision above 1 stops at the first
+    # backtrack.  Max mode has no cut and searches on.
+    arcs = [(u, v) for lo in (0, 5) for u in range(lo, lo + 5)
+            for v in range(lo, lo + 5) if u != v]
+    d = build_digraph(10, arcs + [(4, 5), (9, 0)])
+    for size in (2, 3, 4):
+        no = packing_exists(d, {0, 9}, size)
+        assert (no.exists, no.certified, no.nodes) == (False, True, 13), size
+    res = max_cycle_packing(d, {0, 9})
+    assert (res.value, res.certified, res.nodes) == (1, True, 832)
+
+
+def test_packing_exists_refuses_a_size_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="integer"):
+        packing_exists(_bidirected(4), {0, 1}, 1.5)
 
 
 def test_forced_vertex_refutes_without_search():

@@ -4,12 +4,14 @@ import random
 from collections import Counter
 from itertools import combinations, product
 
+import networkx as nx
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from helpers import multiset_max_packing
 from steinercycles.digraph import twin_partition
-from steinercycles.packing import _flatten_via, _reduce_instance
+from steinercycles.packing import _capped_flow, _cut_bound, _flatten_via, \
+    _reduce_instance
 from steinercycles import (
     build_digraph,
     canonical_cycle,
@@ -244,6 +246,45 @@ def test_tight_decision_matches_multiset_reference(instance):
     if dec.exists:
         assert verify_packing(dec.packing) and len(dec.packing) == bound
         assert {seq[0] for seq in dec.packing.cycles} == {min(terminals)}
+
+
+@st.composite
+def _flow_instances(draw):
+    """Multidigraphs on at most seven vertices, parallel and antiparallel
+    arcs common, with a terminal set and a goal."""
+    n = draw(st.integers(2, 7))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=16))
+    d = build_digraph(n, [(u, v) for (u, v) in pairs if u != v])
+    terminals = draw(st.sets(st.integers(0, n - 1), min_size=2))
+    return d, frozenset(terminals), draw(st.integers(0, 8))
+
+
+@given(_flow_instances())
+# The shortest path 0-1-3-5 blocks 0-2-3, so the second unit of flow must
+# cancel the flow on 1->3; no arc leaves 5, so only the wrap-around pair
+# (5, 0) shows that the cut is 0.
+@example((build_digraph(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 5), (1, 4),
+                            (4, 5)]), frozenset({0, 5}), 3))
+# Two parallel arcs 0->1 but one 1->2: a single path of two arcs.
+@example((build_digraph(3, [(0, 1), (0, 1), (1, 2)]), frozenset({0, 2}), 2))
+def test_cut_flow_matches_networkx(instance):
+    # The solver's flow, uncapped and stopped at the goal, and the cut bound
+    # over consecutive terminals against networkx's flows between every
+    # ordered pair of terminals.
+    d, terminals, goal = instance
+    succ, pred = d.masks()
+    capacity = Counter(d.arcs)
+    g = nx.DiGraph()
+    g.add_nodes_from(range(d.vertex_count))
+    g.add_edges_from((u, v, {"capacity": c}) for (u, v), c in capacity.items())
+    flows = {(x, y): nx.maximum_flow_value(g, x, y)
+             for x in terminals for y in terminals if x != y}
+    for (x, y), f in flows.items():
+        assert _capped_flow(succ, pred, capacity, x, y, len(d.arcs) + 1) == f
+        assert _capped_flow(succ, pred, capacity, x, y, goal) == min(goal, f)
+    assert _cut_bound(succ, pred, capacity, terminals, goal) == min(
+        goal, *flows.values())
 
 
 @st.composite
