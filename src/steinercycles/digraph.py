@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
+from numbers import Integral
 
 
 class MultiDigraph:
@@ -172,9 +173,6 @@ class Graph:
         """Neighbours of v, ascending."""
         return self._adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -233,12 +231,25 @@ def build_graph(vertex_count: int, edges) -> Graph:
     return Graph(vertex_count, checked)
 
 
+def is_integer(value) -> bool:
+    """True for an int or another `numbers.Integral`, False for 1.0 or 1.5.
+
+    Plain ints are tested first: the abstract-class check alone costs about
+    half a microsecond, and every solve checks its terminals.
+    """
+    return type(value) is int or isinstance(value, Integral)
+
+
 def validate_terminals(d: MultiDigraph, members) -> frozenset:
     """Validate a terminal set: at least two distinct vertices of d.
 
-    Returns the set as a frozenset of ints.  Raises ValueError otherwise.
+    Returns the set as a frozenset of ints.  Raises ValueError otherwise,
+    also for a member that is not an integer.
     """
-    terminals = frozenset(int(v) for v in members)
+    members = tuple(members)
+    if not all(map(is_integer, members)):
+        raise ValueError(f"terminals must be integers, got {members}")
+    terminals = frozenset(map(int, members))
     if len(terminals) < 2:
         raise ValueError("a terminal set needs at least two vertices")
     for v in terminals:

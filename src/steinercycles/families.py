@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .digraph import MultiDigraph, bits, build_digraph
-from .packing import cycle_pairs
+from .packing import CyclePacking, verify_packing
 from .search import BudgetHit, Nodes, check_budget
 
 DECOMPOSED = "decomposed"
@@ -287,15 +287,13 @@ class DecompositionCertificate:
     cycles: tuple
 
     def is_valid(self) -> bool:
-        # Each cycle closes and visits every vertex once; together they use
-        # each arc instance exactly once, so no missing arc or loop is used.
-        n = self.host.vertex_count
-        usage = Counter()
-        for seq in self.cycles:
-            if len(seq) != n + 1 or seq[0] != seq[-1] or len(set(seq[:-1])) != n:
-                return False
-            usage.update(cycle_pairs(seq))
-        return usage == Counter(self.host.arcs)
+        # A valid packing with every vertex a terminal is a family of
+        # Hamiltonian cycles within the arc multiplicities; holding as many
+        # arcs as the host makes it use each arc instance exactly once.
+        host = self.host
+        every_vertex = frozenset(range(host.vertex_count))
+        return (sum(len(seq) - 1 for seq in self.cycles) == len(host.arcs)
+                and verify_packing(CyclePacking(host, every_vertex, self.cycles)))
 
 
 @dataclass(frozen=True)

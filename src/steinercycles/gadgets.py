@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Graph, MultiDigraph, build_digraph, serialize_digraph
+from .digraph import Graph, MultiDigraph, build_digraph, is_integer, \
+    serialize_digraph
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,8 @@ class LinkageInstance:
         if len(set(terms)) != 4:
             raise ValueError(f"terminals must be distinct, got {terms}")
         for d in (self.d1, self.d2):
+            if d is not None and not is_integer(d):
+                raise ValueError(f"demands must be integers, got {d!r}")
             if d is not None and d < 1:
                 raise ValueError(f"demands must be at least 1, got {d}")
 

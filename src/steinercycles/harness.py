@@ -55,9 +55,9 @@ class HarnessRow:
 # ---------------------------------------------------------------------------
 
 
-def random_connected_graph(rng: random.Random, lo: int = 4, hi: int = 8) -> Graph:
+def random_connected_graph(rng: random.Random) -> Graph:
     """A random connected undirected graph: spanning tree plus extra edges."""
-    n = rng.randint(lo, hi)
+    n = rng.randint(4, 8)
     edges = set()
     for v in range(1, n):
         edges.add((rng.randrange(v), v))
@@ -68,21 +68,20 @@ def random_connected_graph(rng: random.Random, lo: int = 4, hi: int = 8) -> Grap
     return build_graph(n, sorted(edges))
 
 
-def random_digraph(rng: random.Random, lo: int = 2, hi: int = 6,
-                   max_arcs: int = 12, parallel_chance: float = 0.25) -> MultiDigraph:
+def random_digraph(rng: random.Random) -> MultiDigraph:
     """A random loop-free digraph, occasionally with one doubled arc."""
-    n = rng.randint(lo, hi)
+    n = rng.randint(2, 6)
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    m = rng.randint(0, min(max_arcs, len(pairs)))
+    m = rng.randint(0, min(12, len(pairs)))
     arcs = sorted(rng.sample(pairs, m))
-    if arcs and rng.random() < parallel_chance:
+    if arcs and rng.random() < 0.25:
         arcs.append(rng.choice(arcs))
     return build_digraph(n, arcs)
 
 
-def random_symmetric_digraph(rng: random.Random, lo: int = 3, hi: int = 7) -> MultiDigraph:
+def random_symmetric_digraph(rng: random.Random) -> MultiDigraph:
     """A random simple symmetric digraph (a bidirected random graph)."""
-    n = rng.randint(lo, hi)
+    n = rng.randint(3, 7)
     arcs = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -180,7 +179,7 @@ def symmetric_instances(count: int, seed: int = DEFAULT_SEED):
     return out
 
 
-def random_flow_network(rng: random.Random, lo: int = 4, hi: int = 10) -> FlowNetwork:
+def random_flow_network(rng: random.Random) -> FlowNetwork:
     """A random network whose flow is a known sum of paths and cycles.
 
     The flow is built by superposing random source->sink paths and random
@@ -188,7 +187,7 @@ def random_flow_network(rng: random.Random, lo: int = 4, hi: int = 10) -> FlowNe
     construction; the decomposition under test must recover *some* valid
     splitting, not the one used here.
     """
-    n = rng.randint(lo, hi)
+    n = rng.randint(4, 10)
     source, sink = 0, n - 1
     flow = {}
 

@@ -2,14 +2,16 @@
 
 These are the ground-truth side of the reduction-equivalence harness: slow
 but straightforward searches with no code shared with the packing solver.
-`weak_two_linkage` and `arc_disjoint_demand_paths` answer routing
-questions by exhaustive path search (with a max-flow precheck for quick
-refusals), `hamiltonian_cycle` is a plain backtracker, and
-`symmetric_two_packing_decision` answers whether a symmetric digraph packs
-two disjoint Steiner cycles: for two terminals via a polynomial
-vertex-capacity max-flow on the underlying graph, for more by a plain
-backtracking search for a single Steiner cycle, whose reversal then
-provides the second (bounded exhaustive search standing in for the
+There are two exhaustive searches.  The demand-path search answers
+`arc_disjoint_demand_paths` by routing paths in lexicographic order (with
+max-flow prechecks for quick refusals); `weak_two_linkage` is that search
+with both demands 1.  The Steiner-cycle search finds the first simple
+cycle through a terminal set; `hamiltonian_cycle` is that search with
+every vertex a terminal.  `symmetric_two_packing_decision` answers
+whether a symmetric digraph packs two disjoint Steiner cycles: for two
+terminals via a polynomial vertex-capacity max-flow on the underlying
+graph, for more by the Steiner-cycle search, since the reversal of one
+cycle provides the second (bounded exhaustive search standing in for the
 polynomial algorithm cited for that case in the literature).
 
 All searches scan neighbours in ascending order and return the first
@@ -21,8 +23,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 
-from .digraph import Graph, MultiDigraph, is_symmetric, underlying_graph, \
-    validate_terminals
+from .digraph import Graph, MultiDigraph, is_integer, is_symmetric, \
+    underlying_graph, validate_terminals
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,8 @@ class OracleAnswer:
 
 def _check_four_distinct(d: MultiDigraph, terms) -> None:
     n = d.vertex_count
+    if not all(map(is_integer, terms)):
+        raise ValueError(f"terminals must be integers, got {terms}")
     if any(not 0 <= v < n for v in terms):
         raise ValueError(f"terminal out of range 0..{n - 1}: {terms}")
     if len(set(terms)) != len(terms):
@@ -87,30 +91,16 @@ def _lex_paths(adj, has_cap, s, t, lower=None):
     yield from rec(lower is not None)
 
 
-def _reachable(adj, residual, s, t) -> bool:
-    seen = {s}
-    stack = [s]
-    while stack:
-        x = stack.pop()
-        if x == t:
-            return True
-        for y in adj.get(x, ()):
-            if y not in seen and residual.get((x, y), 0) > 0:
-                seen.add(y)
-                stack.append(y)
-    return t in seen
-
-
-def _max_flow(caps: dict, s, t) -> int:
-    """Edmonds-Karp on integer arc capacities given as a (tail, head) dict."""
+def _flow_reaches(caps: dict, s, t, need: int) -> bool:
+    """Is the s->t max flow at least `need`?  Edmonds-Karp on integer arc
+    capacities given as a (tail, head) dict, stopped once it is."""
     residual = defaultdict(int, caps)
     adj = defaultdict(set)
     for (a, b) in caps:
         adj[a].add(b)
         adj[b].add(a)
-    adj = {x: sorted(ys) for x, ys in adj.items()}
     flow = 0
-    while True:
+    while flow < need:
         parent = {s: None}
         queue = deque([s])
         while queue and t not in parent:
@@ -120,7 +110,7 @@ def _max_flow(caps: dict, s, t) -> int:
                     parent[y] = x
                     queue.append(y)
         if t not in parent:
-            return flow
+            return False
         steps = []
         y = t
         while parent[y] is not None:
@@ -131,31 +121,7 @@ def _max_flow(caps: dict, s, t) -> int:
             residual[(a, b)] -= aug
             residual[(b, a)] += aug
         flow += aug
-
-
-def weak_two_linkage(d: MultiDigraph, s1, t1, s2, t2) -> OracleAnswer:
-    """Are there arc-disjoint s1->t1 and s2->t2 paths?
-
-    Exhausts candidate first paths in lexicographic order; for each, the
-    second demand reduces to reachability in the leftover arcs.  The
-    witness is the lexicographically first path pair.
-    """
-    _check_four_distinct(d, (s1, t1, s2, t2))
-    adj = _heads(d)
-    residual = Counter(d.arcs)
-
-    def has_cap(u, v):
-        return residual.get((u, v), 0) > 0
-
-    for first in _lex_paths(adj, has_cap, s1, t1):
-        for p in _pairs(first):
-            residual[p] -= 1
-        if _reachable(adj, residual, s2, t2):
-            second = next(_lex_paths(adj, has_cap, s2, t2))
-            return OracleAnswer(True, (first, second))
-        for p in _pairs(first):
-            residual[p] += 1
-    return OracleAnswer(False, None)
+    return True
 
 
 def arc_disjoint_demand_paths(d: MultiDigraph, s1, t1, d1: int,
@@ -169,10 +135,12 @@ def arc_disjoint_demand_paths(d: MultiDigraph, s1, t1, d1: int,
     of path tuples, one per demand.
     """
     _check_four_distinct(d, (s1, t1, s2, t2))
+    if not (is_integer(d1) and is_integer(d2)):
+        raise ValueError(f"demands must be integers, got {(d1, d2)}")
     if d1 < 1 or d2 < 1:
         raise ValueError(f"demands must be at least 1, got {(d1, d2)}")
     caps = Counter(d.arcs)
-    if _max_flow(caps, s1, t1) < d1 or _max_flow(caps, s2, t2) < d2:
+    if not (_flow_reaches(caps, s1, t1, d1) and _flow_reaches(caps, s2, t2, d2)):
         return OracleAnswer(False, None)
     adj = _heads(d)
     residual = dict(caps)
@@ -214,45 +182,24 @@ def arc_disjoint_demand_paths(d: MultiDigraph, s1, t1, d1: int,
     return OracleAnswer(False, None)
 
 
-def hamiltonian_cycle(g: Graph) -> OracleAnswer:
-    """Backtracking Hamiltonian cycle search on an undirected graph.
+def weak_two_linkage(d: MultiDigraph, s1, t1, s2, t2) -> OracleAnswer:
+    """Are there arc-disjoint s1->t1 and s2->t2 paths?  The demand-path
+    search with both demands 1; the witness is its first path pair."""
+    ans = arc_disjoint_demand_paths(d, s1, t1, 1, s2, t2, 1)
+    if not ans.decision:
+        return ans
+    (first,), (second,) = ans.witness
+    return OracleAnswer(True, (first, second))
 
-    The witness starts at vertex 0 and is oriented so its second vertex is
-    smaller than its last, making it unique per cycle.
+
+def _first_steiner_cycle(adj, terminals):
+    """The lexicographically first simple cycle through every terminal, as
+    a closed sequence from the smallest terminal, or None.
+
+    `adj` maps a vertex to its out-neighbours, ascending.  Grows simple
+    paths from the smallest terminal and closes one back to it once every
+    terminal is on it.
     """
-    n = g.vertex_count
-    if n < 3:
-        return OracleAnswer(False, None)
-    path = [0]
-    visited = {0}
-
-    def rec():
-        v = path[-1]
-        if len(path) == n:
-            return g.has_edge(v, 0) and path[1] < path[-1]
-        for w in g.neighbors(v):
-            if w in visited:
-                continue
-            path.append(w)
-            visited.add(w)
-            if rec():
-                return True
-            path.pop()
-            visited.discard(w)
-        return False
-
-    if rec():
-        return OracleAnswer(True, tuple(path) + (0,))
-    return OracleAnswer(False, None)
-
-
-def _steiner_cycle_exists(d: MultiDigraph, terminals) -> bool:
-    """Is there a simple directed cycle through every terminal?
-
-    Grows simple paths from the smallest terminal, neighbours in ascending
-    order, and closes a path back to it once every terminal is on it.
-    """
-    adj = _heads(d)
     start = min(terminals)
     path = [start]
     on_path = {start}
@@ -271,7 +218,20 @@ def _steiner_cycle_exists(d: MultiDigraph, terminals) -> bool:
                 on_path.discard(w)
         return False
 
-    return rec()
+    return tuple(path) + (start,) if rec() else None
+
+
+def hamiltonian_cycle(g: Graph) -> OracleAnswer:
+    """Hamiltonian cycle of an undirected graph: the Steiner-cycle search
+    with every vertex a terminal.  The witness starts at vertex 0, and its
+    second vertex is smaller than its last, since the first cycle in
+    lexicographic order comes before its reversal."""
+    n = g.vertex_count
+    if n < 3:
+        return OracleAnswer(False, None)
+    cycle = _first_steiner_cycle({v: g.neighbors(v) for v in range(n)},
+                                 frozenset(range(n)))
+    return OracleAnswer(cycle is not None, cycle)
 
 
 def symmetric_two_packing_decision(d: MultiDigraph, terminals) -> bool:
@@ -287,7 +247,7 @@ def symmetric_two_packing_decision(d: MultiDigraph, terminals) -> bool:
         raise ValueError("this decision procedure requires a symmetric digraph")
     terminals = validate_terminals(d, terminals)
     if len(terminals) >= 3:
-        return _steiner_cycle_exists(d, terminals)
+        return _first_steiner_cycle(_heads(d), terminals) is not None
     u, v = sorted(terminals)
     g = underlying_graph(d)
     caps = {}
@@ -296,4 +256,4 @@ def symmetric_two_packing_decision(d: MultiDigraph, terminals) -> bool:
     for (a, b) in g.edges:
         caps[(2 * a + 1, 2 * b)] = 1
         caps[(2 * b + 1, 2 * a)] = 1
-    return _max_flow(caps, 2 * u + 1, 2 * v) >= 2
+    return _flow_reaches(caps, 2 * u + 1, 2 * v, 2)

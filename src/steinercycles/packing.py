@@ -115,10 +115,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Integral
 
-from .digraph import MultiDigraph, bits, is_symmetric, twin_partition, \
-    validate_terminals
+from .digraph import MultiDigraph, bits, is_integer, is_symmetric, \
+    twin_partition, validate_terminals
 from .search import BudgetHit, Nodes, check_budget
 
 
@@ -738,7 +737,7 @@ def packing_exists(d: MultiDigraph, terminals, size: int,
     hitting the node budget).
     """
     check_budget(node_budget)
-    if not isinstance(size, Integral):
+    if not is_integer(size):
         raise ValueError(f"size must be an integer, got {size!r}")
     if size < 1:
         raise ValueError("size must be at least 1")
@@ -849,8 +848,8 @@ def parse_witness(text: str):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("lambda"):
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "lambda":
             if value is not None or len(parts) != 2:
                 raise ValueError(f"line {lineno}: malformed lambda line")
             try:

@@ -78,7 +78,7 @@ def _successors(d):
     return adj
 
 
-def _simple_paths(d, s, t):
+def simple_paths(d, s, t):
     adj = _successors(d)
     out = []
 
@@ -100,7 +100,7 @@ def brute_two_linkage(d, s1, t1, s2, t2):
     check reachability in what is left."""
     caps = Counter(d.arcs)
     adj = _successors(d)
-    for p1 in _simple_paths(d, s1, t1):
+    for p1 in simple_paths(d, s1, t1):
         residual = caps - Counter(zip(p1, p1[1:]))
         seen = {s2}
         stack = [s2]
@@ -124,8 +124,8 @@ def brute_demand_paths(d, s1, t1, d1, s2, t2, d2):
     from itertools import combinations_with_replacement as cwr
 
     caps = Counter(d.arcs)
-    p1s = _simple_paths(d, s1, t1)
-    p2s = _simple_paths(d, s2, t2)
+    p1s = simple_paths(d, s1, t1)
+    p2s = simple_paths(d, s2, t2)
     if len(p1s) == 0 and d1 > 0 or len(p2s) == 0 and d2 > 0:
         return False
     for pick1 in cwr(p1s, d1):

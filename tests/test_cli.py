@@ -254,6 +254,15 @@ def test_verify_valid_and_invalid(k4_file, tmp_path, capsys):
     assert "not a disjoint Steiner cycle packing" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("first", ["lambdax 2", "lambda_is 2"])
+def test_verify_refuses_a_misspelled_lambda_line(first, k4_file, tmp_path, capsys):
+    bad = tmp_path / "bad.witness"
+    bad.write_text(f"{first}\ncycle: 0 1 2 0\ncycle: 0 2 1 0\n")
+    assert main(["verify", "--graph", k4_file, "--witness", str(bad),
+                 "--S", "0,1,2"]) == 2
+    assert "unknown witness line" in capsys.readouterr().err
+
+
 def test_harness_replacement_small(capsys):
     assert main(["harness", "--family", "replacement", "--count", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -118,6 +118,11 @@ def test_validate_terminals():
         validate_terminals(d, [0, 0])
 
 
+def test_validate_terminals_refuses_a_member_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="integer"):
+        validate_terminals(_bidirected(4), [0, 1.7])
+
+
 def test_min_semi_degree_complete():
     for n in (2, 4, 6):
         assert min_semi_degree(_bidirected(n)) == n - 1

@@ -39,6 +39,12 @@ def test_linkage_instance_validation():
         LinkageInstance(d, 0, 1, 2, 3, d1=0, d2=1)
 
 
+def test_linkage_instance_refuses_a_demand_that_is_not_an_integer():
+    d = build_digraph(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="integer"):
+        LinkageInstance(d, 0, 1, 2, 3, d1=1.5, d2=1)
+
+
 def test_eulerian_gadget_rejects_bad_input():
     simple = build_digraph(4, [(0, 1)])
     with pytest.raises(ValueError):

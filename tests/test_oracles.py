@@ -1,7 +1,10 @@
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from steinercycles import (
     arc_disjoint_demand_paths,
@@ -17,6 +20,7 @@ from helpers import (
     brute_hamiltonian_cycle,
     brute_max_packing,
     brute_two_linkage,
+    simple_paths,
 )
 
 
@@ -29,8 +33,6 @@ def _path_arcs_ok(d, path, s, t):
 
 
 def _arc_usage_within_caps(d, paths):
-    from collections import Counter
-
     usage = Counter()
     for p in paths:
         usage.update(zip(p, p[1:]))
@@ -105,6 +107,20 @@ def test_demand_paths_rejects_bad_demands():
         arc_disjoint_demand_paths(d, 0, 1, 0, 2, 3, 1)
 
 
+def test_demand_paths_refuse_a_demand_that_is_not_an_integer():
+    d = build_digraph(4, [(0, 1), (0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="integer"):
+        arc_disjoint_demand_paths(d, 0, 1, 1.5, 2, 3, 1)
+
+
+def test_linkage_oracles_refuse_a_terminal_that_is_not_an_integer():
+    d = build_digraph(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="integer"):
+        weak_two_linkage(d, 0.5, 1, 2, 3)
+    with pytest.raises(ValueError, match="integer"):
+        arc_disjoint_demand_paths(d, 0, 1, 1, 2, 3.0, 1)
+
+
 def test_demand_paths_matches_brute():
     rng = random.Random(43)
     for _ in range(80):
@@ -151,6 +167,42 @@ def test_hamiltonian_cycle_matches_brute():
             seq = ans.witness
             assert len(set(seq[:-1])) == n
             assert all(g.has_edge(u, v) for u, v in zip(seq, seq[1:]))
+
+
+@st.composite
+def _linkage_instances(draw):
+    n = draw(st.integers(4, 6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=14))  # may repeat
+    s1, t1, s2, t2 = draw(st.permutations(range(n)))[:4]
+    return build_digraph(n, arcs), s1, t1, s2, t2
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else ()
+    return build_graph(n, edges)
+
+
+@given(_linkage_instances(), _graphs())
+def test_witnesses_are_the_lexicographically_first(instance, g):
+    # Both oracles return the first witness in lexicographic order, found
+    # here by brute force: the first arc-disjoint pair over the sorted path
+    # lists, and the first permutation of 1..n-1 that closes a tour at 0.
+    d, s1, t1, s2, t2 = instance
+    pairs = ((p1, p2) for p1 in sorted(simple_paths(d, s1, t1))
+             for p2 in sorted(simple_paths(d, s2, t2)))
+    first_pair = next((pair for pair in pairs
+                       if _arc_usage_within_caps(d, pair)), None)
+    assert weak_two_linkage(d, s1, t1, s2, t2).witness == first_pair
+
+    n = g.vertex_count
+    tours = ((0,) + perm + (0,) for perm in permutations(range(1, n)))
+    first_tour = next((seq for seq in tours if n >= 3 and all(
+        g.has_edge(u, v) for u, v in zip(seq, seq[1:]))), None)
+    assert hamiltonian_cycle(g).witness == first_tour
 
 
 def test_symmetric_decision_requires_symmetry():

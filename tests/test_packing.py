@@ -270,6 +270,11 @@ def test_packing_exists_refuses_a_size_that_is_not_an_integer():
         packing_exists(_bidirected(4), {0, 1}, 1.5)
 
 
+def test_max_cycle_packing_refuses_a_terminal_that_is_not_an_integer():
+    with pytest.raises(ValueError, match="integer"):
+        max_cycle_packing(_bidirected(4), [0, 2.9])
+
+
 def test_forced_vertex_refutes_without_search():
     # Both terminals have in- and out-degree 1, the target.  Vertex 2 sends
     # two arcs into them, but a single cycle passes it only once.
@@ -360,6 +365,8 @@ def test_witness_text_round_trip():
     "lambda 1\ncycle: 0 1\n",    # short cycle
     "lambda x\n",
     "lambda 1\nlambda 1\n",
+    "lambdax 2\ncycle: 0 1 0\n",  # first token must be exactly "lambda"
+    "lambda_is 7\n",
 ])
 def test_witness_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
