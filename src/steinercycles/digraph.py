@@ -1,5 +1,12 @@
 """Multidigraph core: construction, structural predicates, subdivision, text I/O.
 
+The one checked door for outside input: `build_digraph` and `build_graph`
+check a vertex count and its arcs in one pass, and `checked_int` and
+`checked_vertices` every other count, size and vertex list the package
+takes.  A value that is not an integer (1.0, 2.5, "3") raises ValueError
+and is never truncated; True counts as 1.  `read_lines` reads every text
+format (digraphs, flow networks, witnesses) with the same line rules.
+
 Vertices are dense 0-based integers.  Arcs are ordered pairs; parallel arcs
 are allowed (each occurrence is a separate instance, identified by its
 position in the arc list) but loops never are.  A digraph is *simple* when
@@ -21,7 +28,8 @@ from numbers import Integral
 class MultiDigraph:
     """A directed multigraph on vertices 0..vertex_count-1, without loops.
 
-    A plain value: the vertex count and the arc tuple are all it holds.
+    A plain value: the vertex count and the arc tuple, stored as given
+    (`build_digraph` checks them), are all it holds.
     Adjacency, degrees and multiplicities are built by the caller that
     needs them (`masks`, `degrees`, `Counter(d.arcs)`), so nothing derived
     from the arcs stays attached to a digraph after a solve."""
@@ -30,7 +38,7 @@ class MultiDigraph:
 
     def __init__(self, vertex_count: int, arcs):
         self.vertex_count = vertex_count
-        self.arcs = tuple((int(u), int(v)) for (u, v) in arcs)
+        self.arcs = tuple(arcs)
 
     def __eq__(self, other):
         if not isinstance(other, MultiDigraph):
@@ -143,15 +151,14 @@ def bits(mask: int):
 
 
 class Graph:
-    """An undirected simple graph; edges stored as sorted pairs."""
+    """An undirected simple graph; edges are stored as given, as sorted
+    pairs (`build_graph` checks and sorts them)."""
 
     __slots__ = ("vertex_count", "edges", "_adjacency")
 
     def __init__(self, vertex_count: int, edges):
         self.vertex_count = vertex_count
-        self.edges = frozenset(
-            (min(int(u), int(v)), max(int(u), int(v))) for (u, v) in edges
-        )
+        self.edges = frozenset(edges)
         adjacency = [[] for _ in range(vertex_count)]
         for (u, v) in self.edges:
             adjacency[u].append(v)
@@ -191,46 +198,6 @@ class Graph:
         return len(seen) == n
 
 
-def build_digraph(vertex_count: int, arcs) -> MultiDigraph:
-    """Validate and build a MultiDigraph.
-
-    Raises ValueError for a negative vertex count or one above sys.maxsize
-    (no per-vertex list could be built), an out-of-range endpoint, or a
-    loop arc.  Parallel arcs are kept, in the given order.
-    """
-    if not 0 <= vertex_count <= sys.maxsize:
-        raise ValueError(f"vertex count must be between 0 and {sys.maxsize}, "
-                         f"got {vertex_count}")
-    checked = []
-    for arc in arcs:
-        u, v = int(arc[0]), int(arc[1])
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValueError(
-                f"arc ({u}, {v}) has an endpoint outside 0..{vertex_count - 1}"
-            )
-        if u == v:
-            raise ValueError(f"loop arc ({u}, {v}) is not allowed")
-        checked.append((u, v))
-    return MultiDigraph(vertex_count, checked)
-
-
-def build_graph(vertex_count: int, edges) -> Graph:
-    """Validate and build an undirected simple Graph (no loops, deduplicated)."""
-    if vertex_count < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {vertex_count}")
-    checked = []
-    for edge in edges:
-        u, v = int(edge[0]), int(edge[1])
-        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise ValueError(
-                f"edge ({u}, {v}) has an endpoint outside 0..{vertex_count - 1}"
-            )
-        if u == v:
-            raise ValueError(f"loop edge ({u}, {v}) is not allowed")
-        checked.append((u, v))
-    return Graph(vertex_count, checked)
-
-
 def is_integer(value) -> bool:
     """True for an int or another `numbers.Integral`, False for 1.0 or 1.5.
 
@@ -240,22 +207,81 @@ def is_integer(value) -> bool:
     return type(value) is int or isinstance(value, Integral)
 
 
-def validate_terminals(d: MultiDigraph, members) -> frozenset:
-    """Validate a terminal set: at least two distinct vertices of d.
+def checked_int(value, what: str, least: int = 0, most: int | None = None) -> int:
+    """`value` as a plain int, when it is an integer from `least` to `most`
+    (no upper limit when None).  Raises ValueError naming `what` otherwise."""
+    if not is_integer(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if most is not None and not least <= value <= most:
+        raise ValueError(f"{what} must be between {least} and {most}, "
+                         f"got {value}")
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}, got {value}")
+    return value
 
-    Returns the set as a frozenset of ints.  Raises ValueError otherwise,
-    also for a member that is not an integer.
-    """
+
+def checked_vertices(vertex_count: int, members, what: str = "terminal",
+                     distinct: bool = False) -> tuple:
+    """`members` as a tuple of plain ints, each a vertex in
+    0..vertex_count-1, all different when `distinct`.  Raises ValueError
+    naming `what` otherwise."""
     members = tuple(members)
-    if not all(map(is_integer, members)):
-        raise ValueError(f"terminals must be integers, got {members}")
-    terminals = frozenset(map(int, members))
+    if set(map(type, members)) - {int}:
+        if not all(map(is_integer, members)):
+            raise ValueError(f"{what}s must be integers, got {members}")
+        members = tuple(map(int, members))
+    for v in members:
+        if not 0 <= v < vertex_count:
+            raise ValueError(f"{what} {v} outside 0..{vertex_count - 1}")
+    if distinct and len(set(members)) != len(members):
+        raise ValueError(f"{what}s must be distinct, got {members}")
+    return members
+
+
+def validate_terminals(d: MultiDigraph, members) -> frozenset:
+    """A terminal set of at least two vertices of d, as a frozenset of
+    ints.  Raises ValueError otherwise."""
+    terminals = frozenset(checked_vertices(d.vertex_count, members))
     if len(terminals) < 2:
         raise ValueError("a terminal set needs at least two vertices")
-    for v in terminals:
-        if not (0 <= v < d.vertex_count):
-            raise ValueError(f"terminal {v} outside 0..{d.vertex_count - 1}")
     return terminals
+
+
+def _checked_pairs(vertex_count, pairs, what: str) -> tuple:
+    """(n, checked): the vertex count and the pairs as plain ints, checked
+    in one pass; see `build_digraph`."""
+    n = checked_int(vertex_count, "vertex count", 0, sys.maxsize)
+    checked = []
+    for (u, v) in pairs:
+        if type(u) is not int or type(v) is not int:
+            u, v = checked_vertices(n, (u, v), f"{what} endpoint")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"{what} ({u}, {v}) has an endpoint outside "
+                             f"0..{n - 1}")
+        if u == v:
+            raise ValueError(f"loop {what} ({u}, {v}) is not allowed")
+        checked.append((u, v))
+    return n, checked
+
+
+def build_digraph(vertex_count: int, arcs) -> MultiDigraph:
+    """Validate and build a MultiDigraph.
+
+    Raises ValueError for a vertex count or an endpoint that is not an
+    integer, a vertex count below 0 or above sys.maxsize (no per-vertex
+    list could be built), an endpoint outside 0..n-1, or a loop arc.
+    Parallel arcs are kept, in the given order.
+    """
+    return MultiDigraph(*_checked_pairs(vertex_count, arcs, "arc"))
+
+
+def build_graph(vertex_count: int, edges) -> Graph:
+    """Validate and build an undirected simple Graph (no loops,
+    deduplicated), refusing what `build_digraph` refuses."""
+    n, checked = _checked_pairs(vertex_count, edges, "edge")
+    return Graph(n, ((min(u, v), max(u, v)) for (u, v) in checked))
 
 
 def underlying_graph(d: MultiDigraph) -> Graph:
@@ -293,7 +319,7 @@ def subdivide_arc(d: MultiDigraph, arc) -> MultiDigraph:
     ValueError when the pair is absent.  The operation preserves Eulerian-ness
     and planarity; a symmetric digraph generally stops being symmetric.
     """
-    u, v = int(arc[0]), int(arc[1])
+    u, v = checked_vertices(d.vertex_count, arc, "arc endpoint")
     try:
         pos = d.arcs.index((u, v))
     except ValueError:
@@ -505,41 +531,44 @@ def is_planar(d: MultiDigraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Text format: `n <vertex_count>` then one `a <tail> <head>` line per arc
-# instance; lines starting with `#` are comments.  File order is instance
-# identity, so parse/serialize round-trips bit for bit.
+# Text formats: every line goes through `read_lines`.  The digraph format is
+# `n <vertex_count>` then one `a <tail> <head>` line per arc instance.  File
+# order is instance identity, so parse/serialize round-trips bit for bit.
 # ---------------------------------------------------------------------------
+
+
+def read_lines(text: str):
+    """Yield (line number, directive, list of integers) for each line of
+    `text` that is neither blank nor a comment (first word starting `#`).
+
+    The directive is the first word; every other word must be an integer,
+    or ValueError names the line.  Each parser rules on its directives.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        words = raw.split()
+        if not words or words[0][0] == "#":
+            continue
+        directive = words.pop(0)
+        try:
+            values = [*map(int, words)]
+        except ValueError:
+            raise ValueError(f"line {lineno}: {directive!r} takes integers, "
+                             f"got {' '.join(words)!r}") from None
+        yield lineno, directive, values
 
 
 def parse_digraph(text: str) -> MultiDigraph:
     """Parse the digraph text format.  Raises ValueError on malformed input."""
     vertex_count = None
     arcs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "n":
-            if vertex_count is not None:
-                raise ValueError(f"line {lineno}: duplicate n line")
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'n <vertex_count>'")
-            try:
-                vertex_count = int(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
-        elif parts[0] == "a":
-            if vertex_count is None:
-                raise ValueError(f"line {lineno}: arc before the n line")
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 'a <tail> <head>'")
-            try:
-                arcs.append((int(parts[1]), int(parts[2])))
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad arc endpoints") from None
+    for lineno, directive, values in read_lines(text):
+        if directive == "a" and vertex_count is not None and len(values) == 2:
+            arcs.append(values)
+        elif directive == "n" and len(values) == 1 and vertex_count is None:
+            vertex_count = values[0]
         else:
-            raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
+            raise ValueError(f"line {lineno}: expected one 'n <vertex_count>' "
+                             "line, then 'a <tail> <head>' lines")
     if vertex_count is None:
         raise ValueError("missing n line")
     return build_digraph(vertex_count, arcs)

@@ -36,7 +36,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .digraph import MultiDigraph, bits, build_digraph
+from .digraph import MultiDigraph, bits, build_digraph, checked_int, \
+    checked_vertices, is_integer
 from .packing import CyclePacking, verify_packing
 from .search import BudgetHit, Nodes, check_budget
 
@@ -52,18 +53,25 @@ class FamilySpec:
     kind: str
     params: tuple
 
+    def __post_init__(self):
+        # complete(6.7) is refused, not read as complete:6; `check` does ranges
+        if not all(map(is_integer, self.params)):
+            raise ValueError("family parameters must be integers, "
+                             f"got {self.params}")
+        object.__setattr__(self, "params", tuple(map(int, self.params)))
+
     @classmethod
     def complete(cls, n: int) -> "FamilySpec":
-        return cls("complete", (int(n),))
+        return cls("complete", (n,))
 
     @classmethod
     def bipartite(cls, t: int, z: int) -> "FamilySpec":
-        return cls("bipartite", (int(t), int(z)))
+        return cls("bipartite", (t, z))
 
     @classmethod
     def multipartite(cls, w: int, l: int) -> "FamilySpec":
         """l parts of w vertices each."""
-        return cls("multipartite", (int(w), int(l)))
+        return cls("multipartite", (w, l))
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
@@ -168,8 +176,8 @@ def complete_value(n: int, k: int) -> int:
     k >= n - 1, where the value is n - 2.  Every vertex permutation is an
     automorphism, so one terminal set of each size decides the minimum.
     """
-    if not 2 <= k <= n:
-        raise ValueError(f"k must be between 2 and {n}, got {k}")
+    n = checked_int(n, "n", 2)
+    k = checked_int(k, "k", 2, n)
     if n in (4, 6) and k >= n - 1:
         return n - 2
     return n - 1
@@ -182,10 +190,9 @@ def bipartite_value(t: int, z: int, k: int) -> int:
     Equal part sizes make the digraph regular multipartite, so that case
     is routed through `multipartite_value`.
     """
-    if not 2 <= t <= z:
-        raise ValueError(f"part sizes must satisfy 2 <= t <= z, got {t},{z}")
-    if not 2 <= k <= t + z:
-        raise ValueError(f"k must be between 2 and {t + z}, got {k}")
+    t = checked_int(t, "part size t", 2)
+    z = checked_int(z, "part size z", t)
+    k = checked_int(k, "k", 2, t + z)
     if t == z:
         return multipartite_value(t, 2, k)
     return t if k <= t else 0
@@ -201,10 +208,9 @@ def multipartite_value(w: int, l: int, k: int) -> int:
     the digraph complete on l vertices, so that column delegates to
     `complete_value` and inherits its small exceptions.
     """
-    if w < 1 or l < 1:
-        raise ValueError("part size and part count must be positive")
-    if not 2 <= k <= w * l:
-        raise ValueError(f"k must be between 2 and {w * l}, got {k}")
+    w = checked_int(w, "part size", 1)
+    l = checked_int(l, "part count", 1)
+    k = checked_int(k, "k", 2, w * l)
     if l == 1:
         return 0
     if w == 1:
@@ -263,12 +269,12 @@ def small_complete_packing(n: int, terminals) -> tuple:
     is enough because the complete digraph is symmetric under every vertex
     permutation.
     """
-    if n not in (4, 6):
+    if checked_int(n, "n") not in (4, 6):
         raise ValueError("fixed packings cover only the 4- and 6-vertex "
                          "complete digraphs")
-    terminals = frozenset(int(v) for v in terminals)
-    if not terminals <= set(range(n)) or len(terminals) < 2:
-        raise ValueError("terminals must be at least two vertices in range")
+    terminals = frozenset(checked_vertices(n, terminals))
+    if len(terminals) < 2:
+        raise ValueError("a terminal set needs at least two vertices")
     order = sorted(terminals) + sorted(set(range(n)) - terminals)
     template = _SMALL_PACKINGS[(n, len(terminals))]
     return tuple(tuple(order[role] for role in seq) for seq in template)

@@ -13,13 +13,17 @@ cycle term and the walk restarts.  The result satisfies
 * arc-by-arc reconstruction: the weighted sum of the terms equals the flow,
 * every path term runs from a source to a sink,
 * at most |A| terms in total (hence at most |V| + |A|), at most |A| cycles.
+
+Sources, sinks and flow values that are not integers raise ValueError;
+the text format is read by `digraph.read_lines`, with its line rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import MultiDigraph, build_digraph
+from .digraph import MultiDigraph, build_digraph, checked_int, \
+    checked_vertices, read_lines
 
 
 @dataclass(frozen=True)
@@ -33,18 +37,17 @@ class FlowNetwork:
 
     def __post_init__(self):
         d = self.digraph
-        object.__setattr__(self, "sources", frozenset(int(v) for v in self.sources))
-        object.__setattr__(self, "sinks", frozenset(int(v) for v in self.sinks))
-        object.__setattr__(self, "flow", tuple(int(x) for x in self.flow))
-        for v in self.sources | self.sinks:
-            if not (0 <= v < d.vertex_count):
-                raise ValueError(f"terminal vertex {v} outside 0..{d.vertex_count - 1}")
+        n = d.vertex_count
+        object.__setattr__(self, "sources",
+                           frozenset(checked_vertices(n, self.sources, "source")))
+        object.__setattr__(self, "sinks",
+                           frozenset(checked_vertices(n, self.sinks, "sink")))
+        object.__setattr__(self, "flow",
+                           tuple(checked_int(x, "flow value") for x in self.flow))
         if len(self.flow) != len(d.arcs):
             raise ValueError(
                 f"flow has {len(self.flow)} entries for {len(d.arcs)} arc instances"
             )
-        if any(x < 0 for x in self.flow):
-            raise ValueError("flow values must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -176,13 +179,12 @@ def flow_decompose(net: FlowNetwork) -> FlowDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# Network text format (used by the CLI): the digraph format with per-arc flow
-# and terminal designations:
+# Network text format (used by the CLI), read by `read_lines`: the digraph
+# format with per-arc flow and terminal designations, lines in any order:
 #   n <vertex_count>
 #   a <tail> <head> <flow>
 #   source <v>
 #   sink <v>
-# Lines starting with `#` are comments.
 # ---------------------------------------------------------------------------
 
 
@@ -191,30 +193,20 @@ def parse_network(text: str) -> FlowNetwork:
     vertex_count = None
     arcs = []
     flow = []
-    sources = set()
-    sinks = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "n" and len(parts) == 2:
-                if vertex_count is not None:
-                    raise ValueError("duplicate n line")
-                vertex_count = int(parts[1])
-            elif parts[0] == "a" and len(parts) == 4:
-                arcs.append((int(parts[1]), int(parts[2])))
-                flow.append(int(parts[3]))
-            elif parts[0] == "source" and len(parts) == 2:
-                sources.add(int(parts[1]))
-            elif parts[0] == "sink" and len(parts) == 2:
-                sinks.add(int(parts[1]))
-            else:
-                raise ValueError(f"unknown or malformed directive {parts[0]!r}")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+    ends = {"source": set(), "sink": set()}
+    for lineno, directive, values in read_lines(text):
+        if directive == "a" and len(values) == 3:
+            arcs.append(values[:2])
+            flow.append(values[2])
+        elif directive in ends and len(values) == 1:
+            ends[directive].add(values[0])
+        elif directive == "n" and len(values) == 1 and vertex_count is None:
+            vertex_count = values[0]
+        else:
+            raise ValueError(f"line {lineno}: expected one 'n <vertex_count>' "
+                             "line and 'a <tail> <head> <flow>', 'source <v>', "
+                             "'sink <v>' lines")
     if vertex_count is None:
         raise ValueError("missing n line")
-    return FlowNetwork(build_digraph(vertex_count, arcs), frozenset(sources),
-                       frozenset(sinks), tuple(flow))
+    return FlowNetwork(build_digraph(vertex_count, arcs), ends["source"],
+                       ends["sink"], tuple(flow))

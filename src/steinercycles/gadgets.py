@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Graph, MultiDigraph, build_digraph, is_integer, \
-    serialize_digraph
+from .digraph import Graph, MultiDigraph, build_digraph, checked_int, \
+    checked_vertices, serialize_digraph
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,14 @@ class LinkageInstance:
     d2: int | None = None
 
     def __post_init__(self):
-        terms = (self.s1, self.t1, self.s2, self.t2)
-        n = self.digraph.vertex_count
-        if any(not 0 <= v < n for v in terms):
-            raise ValueError(f"terminal out of range 0..{n - 1}: {terms}")
-        if len(set(terms)) != 4:
-            raise ValueError(f"terminals must be distinct, got {terms}")
-        for d in (self.d1, self.d2):
-            if d is not None and not is_integer(d):
-                raise ValueError(f"demands must be integers, got {d!r}")
-            if d is not None and d < 1:
-                raise ValueError(f"demands must be at least 1, got {d}")
+        terms = checked_vertices(self.digraph.vertex_count,
+                                 (self.s1, self.t1, self.s2, self.t2),
+                                 distinct=True)
+        demands = tuple(d if d is None else checked_int(d, "demand", 1)
+                        for d in (self.d1, self.d2))
+        for name, value in zip(("s1", "t1", "s2", "t2", "d1", "d2"),
+                               terms + demands):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -136,8 +133,7 @@ def eulerian_gadget(inst: LinkageInstance, k: int) -> GadgetOutput:
     the numberings tried.  The subdivision vertices, s, t and the
     balancing subdivisions come after.  Threshold: p+2.
     """
-    if k < 3:
-        raise ValueError(f"the ring needs at least 3 vertices, got k={k}")
+    k = checked_int(k, "ring size k", 3)
     g = inst.digraph
     _require_simple(g, "the linkage digraph")
     n = g.vertex_count
@@ -213,8 +209,7 @@ def planar_gadget(inst: LinkageInstance, k: int) -> GadgetOutput:
     d1+d2 Steiner cycles exactly when the input routes d1 arc-disjoint
     s1->t1 paths and d2 s2->t2 paths, all disjoint.  Threshold: d1+d2.
     """
-    if k < 2:
-        raise ValueError(f"the ring needs at least 2 vertices, got k={k}")
+    k = checked_int(k, "ring size k", 2)
     if inst.d1 is None or inst.d2 is None:
         raise ValueError("the planar construction needs both demands d1, d2")
     g = inst.digraph
@@ -275,8 +270,7 @@ def replacement_gadget(g: Graph, copies: int) -> GadgetOutput:
     The output is always symmetric, Eulerian when g is connected, and
     planar when g is planar.
     """
-    if copies < 1:
-        raise ValueError(f"need at least one channel per edge, got {copies}")
+    copies = checked_int(copies, "channels per edge", 1)
     n = g.vertex_count
     trace = {}
     next_id = n

@@ -23,8 +23,8 @@ from __future__ import annotations
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 
-from .digraph import Graph, MultiDigraph, is_integer, is_symmetric, \
-    underlying_graph, validate_terminals
+from .digraph import Graph, MultiDigraph, checked_int, checked_vertices, \
+    is_symmetric, underlying_graph, validate_terminals
 
 
 @dataclass(frozen=True)
@@ -33,16 +33,6 @@ class OracleAnswer:
 
     decision: bool
     witness: tuple | None = None
-
-
-def _check_four_distinct(d: MultiDigraph, terms) -> None:
-    n = d.vertex_count
-    if not all(map(is_integer, terms)):
-        raise ValueError(f"terminals must be integers, got {terms}")
-    if any(not 0 <= v < n for v in terms):
-        raise ValueError(f"terminal out of range 0..{n - 1}: {terms}")
-    if len(set(terms)) != len(terms):
-        raise ValueError(f"terminals must be distinct, got {terms}")
 
 
 def _pairs(path):
@@ -134,11 +124,9 @@ def arc_disjoint_demand_paths(d: MultiDigraph, s1, t1, d1: int,
     class in lexicographically nondecreasing order.  The witness is a pair
     of path tuples, one per demand.
     """
-    _check_four_distinct(d, (s1, t1, s2, t2))
-    if not (is_integer(d1) and is_integer(d2)):
-        raise ValueError(f"demands must be integers, got {(d1, d2)}")
-    if d1 < 1 or d2 < 1:
-        raise ValueError(f"demands must be at least 1, got {(d1, d2)}")
+    s1, t1, s2, t2 = checked_vertices(d.vertex_count, (s1, t1, s2, t2),
+                                      distinct=True)
+    d1, d2 = checked_int(d1, "demand", 1), checked_int(d2, "demand", 1)
     caps = Counter(d.arcs)
     if not (_flow_reaches(caps, s1, t1, d1) and _flow_reaches(caps, s2, t2, d2)):
         return OracleAnswer(False, None)

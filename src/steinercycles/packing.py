@@ -107,7 +107,9 @@ it removed, so the pass takes O(n + m) steps.
 
 All solver entry points take an optional node budget; results say whether
 they are certified (search ran to completion or hit a bound) or were cut
-short.
+short.  Terminals, sizes, k, caps and budgets that are not integers raise
+ValueError (the checks of `digraph`), and the witness text format is read
+by `digraph.read_lines`, with the digraph format's line rules.
 """
 
 from __future__ import annotations
@@ -116,8 +118,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .digraph import MultiDigraph, bits, is_integer, is_symmetric, \
-    twin_partition, validate_terminals
+from .digraph import MultiDigraph, bits, checked_int, is_integer, \
+    is_symmetric, read_lines, twin_partition, validate_terminals
 from .search import BudgetHit, Nodes, check_budget
 
 
@@ -188,7 +190,9 @@ def validate_cycle(d: MultiDigraph, seq) -> None:
 
 def _check_cycle(seq, mult) -> None:
     # validate_cycle against a multiplicity Counter of the host
-    seq = tuple(int(v) for v in seq)
+    seq = tuple(seq)
+    if not all(map(is_integer, seq)):
+        raise ValueError(f"cycle vertices must be integers, got {seq}")
     if len(seq) < 3 or seq[0] != seq[-1]:
         raise ValueError("a cycle sequence must close on its first vertex "
                          "and contain at least two arcs")
@@ -352,8 +356,7 @@ def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes):
         return False
 
     def rec(path, tight):
-        if nodes is not None:
-            nodes.step()
+        nodes.step()
         v = seq[-1]
         if not prune_ok(v, path):
             return
@@ -389,12 +392,12 @@ def enumerate_steiner_cycles(d: MultiDigraph, terminals, cap: int | None = None)
     cycles (the order never changes, so a capped result is a prefix).
     """
     terminals = validate_terminals(d, terminals)
-    if cap is not None and cap < 0:
-        raise ValueError("cap must be nonnegative")
+    if cap is not None:
+        cap = checked_int(cap, "cap")
     s0 = min(terminals)
     succ, pred = d.masks()
     out = []
-    for seq in _enumerate_cycles(s0, terminals, succ, pred, None, None):
+    for seq in _enumerate_cycles(s0, terminals, succ, pred, None, Nodes(None)):
         if cap is not None and len(out) >= cap:
             break
         out.append(seq)
@@ -737,10 +740,7 @@ def packing_exists(d: MultiDigraph, terminals, size: int,
     hitting the node budget).
     """
     check_budget(node_budget)
-    if not is_integer(size):
-        raise ValueError(f"size must be an integer, got {size!r}")
-    if size < 1:
-        raise ValueError("size must be at least 1")
+    size = checked_int(size, "size", 1)
     terminals = validate_terminals(d, terminals)
     seqs, certified, nodes, reached = _solve(d, terminals, size, node_budget)
     if reached:
@@ -800,9 +800,7 @@ def min_packing_number(d: MultiDigraph, k: int,
     be smaller.  A node budget is shared by the sets solved, in scan order.
     """
     check_budget(node_budget)
-    n = d.vertex_count
-    if not 2 <= k <= n:
-        raise ValueError(f"k must be between 2 and {n}, got {k}")
+    k = checked_int(k, "k", 2, d.vertex_count)
     best = None
     witness_set = None
     witness = None
@@ -828,7 +826,8 @@ def min_packing_number(d: MultiDigraph, k: int,
 
 
 # ---------------------------------------------------------------------------
-# Witness text format: `lambda <value>` then `cycle: v0 v1 ... v0` per cycle.
+# Witness text format, read by `read_lines`: `lambda <value>` then
+# `cycle: v0 v1 ... v0` per cycle.
 # ---------------------------------------------------------------------------
 
 
@@ -844,28 +843,15 @@ def parse_witness(text: str):
     malformed input."""
     value = None
     cycles = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "lambda":
-            if value is not None or len(parts) != 2:
-                raise ValueError(f"line {lineno}: malformed lambda line")
-            try:
-                value = int(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad lambda value") from None
-        elif line.startswith("cycle:"):
-            try:
-                seq = tuple(int(tok) for tok in line[len("cycle:"):].split())
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad cycle vertices") from None
-            if len(seq) < 3:
-                raise ValueError(f"line {lineno}: cycle too short")
-            cycles.append(seq)
+    for lineno, directive, values in read_lines(text):
+        if directive == "cycle:" and len(values) >= 3:
+            cycles.append(tuple(values))
+        elif directive == "lambda" and len(values) == 1 and value is None:
+            value = values[0]
         else:
-            raise ValueError(f"line {lineno}: unknown witness line {line!r}")
+            raise ValueError(f"line {lineno}: unknown witness line; expected "
+                             "one 'lambda <value>' line and 'cycle: <v0> ... "
+                             "<v0>' lines of at least three vertices")
     if value is None:
         raise ValueError("missing lambda line")
     return value, tuple(cycles)

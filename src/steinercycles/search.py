@@ -3,11 +3,13 @@
 Every backtracking search counts its nodes on a `Nodes` counter; a counter
 with a limit raises `BudgetHit` at the first node past it, and the search
 reports an uncertified result.  A budget is None (no limit) or a
-nonnegative count; every public entry point that takes one rejects a
-negative count with `check_budget` before it does any work.
+nonnegative integer; every public entry point that takes one rejects any
+other value with `check_budget` before it does any work.
 """
 
 from __future__ import annotations
+
+from .digraph import checked_int
 
 
 class BudgetHit(Exception):
@@ -30,6 +32,6 @@ class Nodes:
 
 
 def check_budget(node_budget) -> None:
-    """Raise ValueError unless node_budget is None or nonnegative."""
-    if node_budget is not None and node_budget < 0:
-        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
+    """Raise ValueError unless node_budget is None or a nonnegative integer."""
+    if node_budget is not None:
+        checked_int(node_budget, "node budget")

@@ -1,4 +1,5 @@
-"""Fuzz tests of the text parsers and the CLI on generated input.
+"""Fuzz tests of the text parsers, the builders and the CLI on generated
+input.
 
 Malformed input must end in ValueError (library) or exit 2 (CLI), never
 in another exception or exit 4.  Generated vertex counts stay at 64 or
@@ -15,7 +16,8 @@ from pathlib import Path
 from hypothesis import given
 from hypothesis import strategies as st
 
-from steinercycles import parse_digraph, parse_network, parse_witness
+from steinercycles import FlowNetwork, build_digraph, build_graph, \
+    parse_digraph, parse_network, parse_witness
 from steinercycles.cli import main
 
 _NUMBERS = st.one_of(
@@ -49,6 +51,45 @@ def test_parsers_return_or_raise_value_error(text):
             parse(text)
         except ValueError:
             pass
+
+
+# What a caller might pass for a count, a vertex or a flow: ints, floats
+# (integral ones too), bools and digit strings.
+_VALUES = st.one_of(st.integers(-2, 6), st.floats(), st.booleans(),
+                    st.integers(0, 6).map(str))
+_COUNTS = st.one_of(_VALUES, st.sampled_from([sys.maxsize + 1, 10 ** 20]))
+_PAIRS = st.lists(st.tuples(_VALUES, _VALUES), max_size=6)
+
+
+def _plain(values, below):
+    return all(type(v) is int and 0 <= v < below for v in values)
+
+
+@given(_COUNTS, _PAIRS, _PAIRS, st.data())
+def test_builders_return_plain_ints_or_raise_value_error(count, arcs, edges,
+                                                         data):
+    try:
+        d = build_digraph(count, arcs)
+    except ValueError:
+        d = build_digraph(2, [(0, 1)])
+    n = d.vertex_count
+    assert type(n) is int and _plain((v for arc in d.arcs for v in arc), n)
+    try:
+        g = build_graph(count, edges)
+    except ValueError:
+        pass
+    else:
+        assert type(g.vertex_count) is int
+        assert _plain((v for edge in g.edges for v in edge), g.vertex_count)
+    ends = st.lists(_VALUES, max_size=3)
+    flow = st.lists(_VALUES, min_size=len(d.arcs), max_size=len(d.arcs))
+    try:
+        net = FlowNetwork(d, data.draw(ends), data.draw(ends), data.draw(flow))
+    except ValueError:
+        return
+    assert _plain(net.sources, n) and _plain(net.sinks, n)
+    assert all(type(x) is int and x >= 0 for x in net.flow)
+    assert len(net.flow) == len(d.arcs)
 
 
 @st.composite

@@ -23,6 +23,7 @@ from steinercycles import (
 from steinercycles.digraph import twin_partition
 from steinercycles.families import make_family
 from steinercycles.packing import _colex_subsets, _enumerate_cycles, cycle_pairs
+from steinercycles.search import Nodes
 from helpers import (
     brute_max_packing,
     brute_min_packing,
@@ -126,7 +127,8 @@ def test_enumerate_mid_search_matches_filtered_listing():
         want = [seq for seq in full
                 if (lower is None or seq > lower)
                 and saturated.isdisjoint(cycle_pairs(seq))]
-        got = list(_enumerate_cycles(min(terms), terms, succ, pred, lower, None))
+        got = list(_enumerate_cycles(min(terms), terms, succ, pred, lower,
+                                     Nodes(None)))
         assert got == want, (d, sorted(terms), sorted(saturated), lower)
         checked += 1
     assert checked > 100
