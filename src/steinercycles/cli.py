@@ -31,15 +31,14 @@ from .packing import CyclePacking, max_cycle_packing, min_packing_number, \
 
 
 def _parse_terminal_set(text: str) -> list:
-    """Comma-separated vertex list; duplicates rejected, result sorted."""
+    """Comma-separated vertex list; empty items and duplicates rejected,
+    result sorted."""
     try:
-        values = [int(p) for p in text.split(",") if p != ""]
+        values = [int(p) for p in text.split(",")]
     except ValueError:
         raise ValueError(f"bad terminal list {text!r}") from None
     if len(set(values)) != len(values):
         raise ValueError(f"duplicate terminal in {text!r}")
-    if not values:
-        raise ValueError("empty terminal list")
     return sorted(values)
 
 

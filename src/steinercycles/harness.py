@@ -9,6 +9,9 @@ degree-bound and monotonicity facts).
 Instances that a family cannot use are resampled rather than patched: the
 weak-linkage family, for example, redraws digraphs until the gadget comes
 out connected, since the construction is only Eulerian in that case.
+
+A count is a nonnegative integer (`digraph.checked_int`); a runner checks
+its node budget first, then its count.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .digraph import Graph, MultiDigraph, build_digraph, build_graph, is_eulerian
+from .digraph import Graph, MultiDigraph, build_digraph, build_graph, \
+    checked_int, is_eulerian
 from .flows import FlowNetwork
 from .gadgets import GadgetOutput, LinkageInstance, eulerian_gadget, \
     planar_gadget, replacement_gadget
@@ -92,6 +96,7 @@ def random_symmetric_digraph(rng: random.Random) -> MultiDigraph:
 
 def replacement_instances(count: int, seed: int = DEFAULT_SEED):
     """(instance_id, graph, copies, gadget) tuples for the Hamiltonicity family."""
+    count = checked_int(count, "count")
     rng = random.Random(seed)
     out = []
     for idx in range(count):
@@ -108,6 +113,7 @@ def eulerian_instances(count: int, seed: int = DEFAULT_SEED):
     Digraphs are redrawn until the gadget output is Eulerian (balance
     always holds; connectivity is what the redraw buys).
     """
+    count = checked_int(count, "count")
     rng = random.Random(seed)
     out = []
     for idx in range(count):
@@ -134,6 +140,7 @@ def planar_instances(count: int, seed: int = DEFAULT_SEED):
     terminals on the corners, which puts them on the outer face in the
     cyclic order the construction needs.
     """
+    count = checked_int(count, "count")
     rng = random.Random(seed)
     out = []
     for idx in range(count):
@@ -168,6 +175,7 @@ def planar_instances(count: int, seed: int = DEFAULT_SEED):
 
 def symmetric_instances(count: int, seed: int = DEFAULT_SEED):
     """(instance_id, digraph, terminals) tuples for the symmetric decision."""
+    count = checked_int(count, "count")
     rng = random.Random(seed)
     out = []
     for idx in range(count):

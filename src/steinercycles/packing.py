@@ -7,64 +7,65 @@ canonical form: rotated so the smallest terminal comes first.  A packing is
 arc-disjoint when, for every ordered pair, the number of cycles using that
 pair does not exceed its multiplicity in the host.
 
-The solver is a branch-and-bound over canonical cycles.  Packings are
-explored as lexicographically sorted multisets (repeats are only possible
-when parallel arcs supply capacity).  The first bound is the terminal
-degree bound: a Steiner cycle passes every terminal exactly once, on one
-outgoing and one incoming arc instance, so at most min over terminals of
-min(out-degree, in-degree) cycles fit.  A decision whose target exceeds it
-is refuted without search, and a search that reaches it is optimal
-outright.  The cycle enumerator keeps the residual support as successor
-and predecessor bitmasks and prunes a partial cycle when the closing
-vertex or a missing terminal is out of reach.
+The solver decides whether t cycles fit, by branch-and-bound over
+canonical cycles.  Packings are explored as lexicographically sorted
+multisets (repeats are only possible when parallel arcs supply capacity).
+The first bound is the terminal degree bound: a Steiner cycle passes every
+terminal exactly once, on one outgoing and one incoming arc instance, so
+at most min over terminals of min(out-degree, in-degree) cycles fit, and a
+larger t is refuted without search.  The cycle enumerator keeps the
+residual support as successor and predecessor bitmasks and prunes a
+partial cycle when the closing vertex or a missing terminal is out of
+reach.
+
+The maximum is a ladder of decisions on one reduced instance: first t =
+the degree bound, where a yes is the maximum; after a no, t = 1, 2, ...
+up to the first no.  A t-packing holds a (t - 1)-packing, so a no at t
+proves the value is below t, and the last yes (none: the value is 0) is a
+maximum packing.
 
 Each cycle taken lowers every terminal's residual degrees by exactly one,
 so the bound itself never prunes inside the search.  Its equality case
-does: when the goal (the target of a decision, or one more cycle than the
-best packing so far) equals a terminal's degree, every arc instance at
-that terminal is used, each by a different cycle.  Two exact rules follow.
+does: when t equals a terminal's degree, every arc instance at that
+terminal is used, each by a different cycle.  Two exact rules follow.
 
-* Forced first arc, at every node once its goal equals s0's out-degree.
-  The cycles still to come each leave s0 once, and s0 has exactly as many
+* Forced first arc, at every node when t equals s0's out-degree.  The
+  cycles still to come each leave s0 once, and s0 has exactly as many
   residual out-arcs as there are cycles to come, so a completion reaching
-  the goal uses all of them, the lowest one (s0, w) included.  Its
+  t uses all of them, the lowest one (s0, w) included.  Its
   lexicographically first cycle starts with (s0, w), since no residual arc
   leaves s0 for a vertex below w.  The node walks its candidates in
   lexicographic order and stops at the first one not starting (s0, w);
   every candidate up to a completion's first cycle starts that way.  Each
   cycle of a completion the node allows is one of its candidates (see the
-  soundness of the orbits below), so the stop loses none.  In max mode
-  the goal rises as the best packing grows, also during a node's own
-  candidate loop, and a completion that reaches a higher goal reaches the
-  lower one, so the test is made for each candidate.
-* Forced vertices, once at the root of a decision with target t.  A
-  terminal of in-degree t is in-tight: each of its t arc instances in is
-  used by a different cycle of a t-packing; out-tight is the same for arcs
-  out.  A cycle passes any vertex v at most once, so the arc instances
-  from v into in-tight terminals, and those into v from out-tight ones,
-  each number at most t, or no t-packing exists.  If either count is t,
-  every cycle of a t-packing passes v, and the t-packings for S are those
-  for S + v: v joins the terminal set (no t-packing exists if its degree is
-  below t) and is tight in turn where its degree is t.  The rule runs to a
+  soundness of the orbits below), so the stop loses none.
+* Forced vertices, once at the root.  A terminal of in-degree t is
+  in-tight: each of its t arc instances in is used by a different cycle
+  of a t-packing; out-tight is the same for arcs out.  A cycle passes any
+  vertex v at most once, so the arc instances from v into in-tight
+  terminals, and those into v from out-tight ones, each number at most t,
+  or no t-packing exists.  If either count is t, every cycle of a
+  t-packing passes v, and the t-packings for S are those for S + v: v
+  joins the terminal set (no t-packing exists if its degree is below t)
+  and is tight in turn where its degree is t.  The rule runs to a
   fixpoint; degrees are static, so one pass over the capacities and a
   worklist suffice.  The search, and its twin group, then runs on the
   enlarged set, with s0 still the smallest of the caller's terminals so
   witnesses keep their canonical rotation.
 
-The second bound, in decision mode only, is the arc cut κ, the least
-maxflow(x→y) over ordered pairs of terminals on the reduced instance.
-Each cycle of a packing holds an x→y path, and the cycles are
-arc-disjoint, so by Menger no more than maxflow(x→y) of them fit.  Local
-arc-connectivity is transitive, maxflow(x→z) ≥ min(maxflow(x→y),
-maxflow(y→z)), so the flows between consecutive terminals in ascending
-cyclic order already give κ.  The terminals are those after the forced
-vertices above have joined, which every cycle of a target-packing passes.
-Each flow first counts the arc-disjoint paths x→y and x→w→y, then takes
-unit augmenting paths if those fall short, and stops at the target; a
-target above κ is refuted.  The cut is computed once, at the search's
-first backtrack, by the same lazy rule as the twin group below: a
-decision settled on its first descent, as many yes-instances are, never
-pays for its |S| flows.
+The second bound is the arc cut κ, the least maxflow(x→y) over ordered
+pairs of terminals on the reduced instance.  Each cycle of a packing holds
+an x→y path, and the cycles are arc-disjoint, so by Menger no more than
+maxflow(x→y) of them fit.  Local arc-connectivity is transitive,
+maxflow(x→z) ≥ min(maxflow(x→y), maxflow(y→z)), so the flows between
+consecutive terminals in ascending cyclic order already give κ.  The
+terminals are those after the forced vertices above have joined, which
+every cycle of a t-packing passes.  Each flow first counts the
+arc-disjoint paths x→y and x→w→y, then takes unit augmenting paths if
+those fall short, and stops at t; a t above κ is refuted.  The cut is
+computed once, at the search's first backtrack, by the same lazy rule as
+the twin group below: a decision settled on its first descent, as many
+yes-instances are, never pays for its |S| flows.
 
 The search branches on one cycle per orbit (orbital branching: Ostrowski,
 Linderoth, Rossi and Smriglio, Math. Programming 126, 2011).  The group
@@ -241,7 +242,7 @@ def reverse_cycle(d: MultiDigraph, seq) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class _SearchDone(Exception):
+class _Refuted(Exception):
     pass
 
 
@@ -584,41 +585,37 @@ def _cut_bound(succ, pred, capacity, terminals, goal) -> int:
     return goal
 
 
-def _solve(d: MultiDigraph, terminals, target, node_budget):
-    """Shared branch-and-bound core.
-
-    target=None computes the maximum packing; an integer target stops as
-    soon as that many disjoint cycles are found (decision mode).  Returns
-    (seqs, certified, nodes, reached_target) with seqs already expanded to
-    original vertices.  `terminals` is a frozenset the caller validated.
-    """
-    s0 = min(terminals)
+def _reduced(d: MultiDigraph, terminals):
+    """The instance (capacity, succ, pred, out_deg, in_deg) left by
+    `_reduce_instance`, its via-chains and its terminal degree bound."""
     capacity, chains, succ, pred = _reduce_instance(d, terminals)
     out_deg = [0] * d.vertex_count
     in_deg = [0] * d.vertex_count
     for (u, v), c in capacity.items():
         out_deg[u] += c
         in_deg[v] += c
-    residual = dict(capacity)
-
-    # A Steiner cycle passes each terminal once, on one arc out and one in,
-    # so with `cur` taken at most bound - len(cur) more fit: the degree
-    # bound can settle the search here but never prunes inside it.  Its
-    # equality case forces vertices here and first arcs in `bnb`.
     bound = min(min(out_deg[s], in_deg[s]) for s in terminals)
-    nodes = Nodes(node_budget)
-    best = []
-    cur = []
-    certified = True
-    reached = False
+    return (capacity, succ, pred, out_deg, in_deg), chains, bound
 
-    if bound == 0 or (target is not None and target > bound):
-        return _expand_witness(best, chains), True, 0, False
-    if target is not None:
-        terminals = _forced_terminals(capacity, succ, pred, out_deg, in_deg,
-                                      terminals, target)
-        if terminals is None:
-            return _expand_witness(best, chains), True, 0, False
+
+def _decide(instance, terminals, target, nodes):
+    """`target` arc-disjoint Steiner cycles of a reduced instance, as
+    reduced sequences, or None when none exist; 1 <= target <= the degree
+    bound.  The residual starts from copies of the instance's masks and
+    capacities, and BudgetHit from `nodes` propagates."""
+    capacity, succ, pred, out_deg, in_deg = instance
+    s0 = min(terminals)
+    terminals = _forced_terminals(capacity, succ, pred, out_deg, in_deg,
+                                  terminals, target)
+    if terminals is None:
+        return None
+    # the group and the cut read `support`; `succ` and `pred` follow the residual
+    support = (succ, pred)
+    succ, pred = list(succ), list(pred)
+    residual = dict(capacity)
+    cur = []
+    group = None
+    tight = out_deg[s0] == target  # the forced first arc applies
 
     def take(seq):
         for (u, v) in cycle_pairs(seq):
@@ -634,20 +631,14 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
                 pred[v] |= 1 << u
             residual[(u, v)] += 1
 
-    # `succ` and `pred` follow the residual; the group is that of the
-    # reduced instance itself.
-    support = (list(succ), list(pred))
-    group = None
-
     def partition_here():
         # The root's twin partition, stabilised by every cycle taken so far.
-        # Its first call is the search's first backtrack, where a decision
-        # first checks the cut bound on the root's reduced instance.
+        # Its first call is the search's first backtrack, where the cut
+        # bound is checked on the root's reduced instance.
         nonlocal group
         if group is None:
-            if target is not None and _cut_bound(
-                    *support, capacity, terminals, target) < target:
-                raise _SearchDone
+            if _cut_bound(*support, capacity, terminals, target) < target:
+                raise _Refuted
             group = _twin_group(*support, capacity, terminals, s0)
         part = group
         for seq in cur:
@@ -655,36 +646,24 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
         return part
 
     def bnb(last, part, forbidden):
-        # `part` is the twin partition of this node's group.  A group only
-        # prunes from a node's second candidate on, so on the path of first
-        # children from the root it stays None until a node there needs it,
-        # and a search settled on that path never computes it.  `forbidden`
-        # holds (partition, orbit keys) of every ancestor whose group was
-        # nontrivial: the orbits its earlier children branched on.
-        nonlocal best, reached
+        # True once `cur` holds the target.  `part` is the twin partition of
+        # this node's group.  A group only prunes from a node's second
+        # candidate on, so on the path of first children from the root it
+        # stays None until a node there needs it, and a search settled on
+        # that path never computes it.  `forbidden` holds (partition, orbit
+        # keys) of every ancestor whose group was nontrivial: the orbits its
+        # earlier children branched on.
         nodes.step()
-        if target is None:
-            if len(cur) > len(best):
-                best = list(cur)
-            if len(best) >= bound:
-                raise _SearchDone
-        elif len(cur) >= target:
-            best = list(cur)
-            reached = True
-            raise _SearchDone
+        if len(cur) == target:
+            return True
         branched = None
         below = forbidden
-        # Once s0's out-degree equals the goal, every completion reaching
-        # the goal uses all of s0's residual arcs, so its first cycle leaves
-        # s0 on the lowest one.  In max mode the goal rises with the best
-        # packing, within this loop too, so it is read per candidate.
         first = succ[s0] & -succ[s0]
         seqs = _enumerate_cycles(s0, terminals, succ, pred, last, nodes)
         if last is not None and all(residual[p] > 0 for p in cycle_pairs(last)):
             seqs = chain((last,), seqs)
         for seq in seqs:
-            if 1 << seq[1] != first and out_deg[s0] == (
-                    target if target is not None else len(best) + 1):
+            if tight and 1 << seq[1] != first:
                 break
             if forbidden and any(keys and _orbit_key(seq, p) in keys
                                  for p, keys in forbidden):
@@ -695,7 +674,8 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
                     continue
             take(seq)
             cur.append(seq)
-            bnb(seq, part and _stabiliser(part, seq), below)
+            if bnb(seq, part and _stabiliser(part, seq), below):
+                return True
             cur.pop()
             untake(seq)
             if branched is not None:
@@ -706,29 +686,43 @@ def _solve(d: MultiDigraph, terminals, target, node_budget):
             if part:
                 branched = {_orbit_key(seq, part)}
                 below = forbidden + [(part, branched)]
+        return False
 
     try:
-        bnb(None, None, [])
-    except _SearchDone:
-        pass
-    except BudgetHit:
-        certified = False
-
-    return _expand_witness(best, chains), certified, nodes.count, reached
+        return cur if bnb(None, None, []) else None
+    except _Refuted:
+        return None
 
 
 def max_cycle_packing(d: MultiDigraph, terminals,
                       node_budget: int | None = None) -> PackingResult:
     """Maximum number of pairwise arc-disjoint Steiner cycles, with witness.
 
-    The result is certified unless the node budget ran out first, in which
-    case `value` is the best packing size found so far (a lower bound).
+    A ladder of decisions sharing one node counter; see the module
+    docstring.  The result is certified unless the node budget ran out
+    first; then `value` is the last decision that said yes (0 if the first
+    ran out), a lower bound with its witness.
     """
     check_budget(node_budget)
     terminals = validate_terminals(d, terminals)
-    seqs, certified, nodes, _ = _solve(d, terminals, None, node_budget)
-    packing = CyclePacking(d, terminals, seqs)
-    return PackingResult(len(seqs), packing, certified, nodes)
+    instance, chains, bound = _reduced(d, terminals)
+    nodes = Nodes(node_budget)
+    seqs = ()
+    certified = True
+    try:
+        if bound:
+            seqs = _decide(instance, terminals, bound, nodes)
+        if seqs is None:
+            seqs = ()
+            for t in range(1, bound):
+                found = _decide(instance, terminals, t, nodes)
+                if found is None:
+                    break
+                seqs = found
+    except BudgetHit:
+        certified = False
+    packing = CyclePacking(d, terminals, _expand_witness(seqs, chains))
+    return PackingResult(len(packing), packing, certified, nodes.count)
 
 
 def packing_exists(d: MultiDigraph, terminals, size: int,
@@ -742,11 +736,16 @@ def packing_exists(d: MultiDigraph, terminals, size: int,
     check_budget(node_budget)
     size = checked_int(size, "size", 1)
     terminals = validate_terminals(d, terminals)
-    seqs, certified, nodes, reached = _solve(d, terminals, size, node_budget)
-    if reached:
-        return ExistenceResult(True, True, CyclePacking(d, terminals, seqs),
-                               nodes)
-    return ExistenceResult(False, certified, None, nodes)
+    instance, chains, bound = _reduced(d, terminals)
+    nodes = Nodes(node_budget)
+    try:
+        seqs = _decide(instance, terminals, size, nodes) if size <= bound else None
+    except BudgetHit:
+        return ExistenceResult(False, False, None, nodes.count)
+    if seqs is None:
+        return ExistenceResult(False, True, None, nodes.count)
+    packing = CyclePacking(d, terminals, _expand_witness(seqs, chains))
+    return ExistenceResult(True, True, packing, nodes.count)
 
 
 def _colex_subsets(n: int, k: int):

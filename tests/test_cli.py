@@ -38,6 +38,15 @@ def test_solve_budget_exit_code(k4_file, capsys):
     assert value <= 3
 
 
+@pytest.mark.parametrize("terminals", ["0,,1,", "0,1,", ",0,1", ""])
+def test_solve_refuses_an_empty_terminal_item(terminals, k4_file, capsys):
+    # Dropping the empty items would answer for {0, 1}, a set nobody gave.
+    assert main(["solve", "--graph", k4_file, "--S", terminals]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad terminal list" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--graph", "{k4}", "--S", "0,1"],
     ["lambda-k", "--graph", "{k4}", "--k", "2"],

@@ -39,6 +39,7 @@ from steinercycles import (
     validate_terminals,
     weak_two_linkage,
 )
+from steinercycles import harness
 
 K4 = make_family("complete:4")
 PAIRS = build_digraph(4, [(0, 1), (0, 1), (2, 3), (2, 3)])
@@ -98,6 +99,15 @@ ROWS = [
     ("eulerian_gadget", lambda x: eulerian_gadget(LINK, x), 3.5),
     ("planar_gadget", lambda x: planar_gadget(LINK, x), 2.5),
     ("replacement_gadget", lambda x: replacement_gadget(PATH, x), 1.5),
+    # corpus counts, checked before any instance is drawn
+    ("replacement_instances", harness.replacement_instances, 2.5),
+    ("eulerian_instances", harness.eulerian_instances, 1.5),
+    ("planar_instances", harness.planar_instances, 2.5),
+    ("symmetric_instances", harness.symmetric_instances, 1.5),
+    ("run_replacement", harness.run_replacement, 2.5),
+    ("run_eulerian", harness.run_eulerian, 1.5),
+    ("run_planar", harness.run_planar, 2.5),
+    ("run_symmetric", harness.run_symmetric, 1.5),
 ]
 
 
@@ -132,6 +142,15 @@ def test_non_integers_are_refused_and_true_is_one(call, bad):
     with pytest.raises(ValueError, match="integer"):
         call(bad)
     assert _outcome(call, True) == _outcome(call, 1)
+
+
+@pytest.mark.parametrize("run", harness.FAMILIES.values(),
+                         ids=harness.FAMILIES.keys())
+def test_a_corpus_run_checks_its_budget_before_its_count(run):
+    with pytest.raises(ValueError, match="node budget"):
+        run(2.5, node_budget=-1)
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        run(-1)
 
 
 def test_a_float_ring_is_no_ring():

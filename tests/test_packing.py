@@ -256,7 +256,8 @@ def test_cut_bound_refutes_at_the_first_backtrack():
     # Two bidirected K5s joined by the arcs 4->5 and 9->0: the degree bound
     # of {0, 9} is 4, but every Steiner cycle crosses 4->5, so
     # maxflow(0->9) = 1 and each decision above 1 stops at the first
-    # backtrack.  Max mode has no cut and searches on.
+    # backtrack.  The maximum is refuted at the bound 4 (13 nodes), then
+    # says yes at 1 (12 nodes) and no at 2 (13 nodes).
     arcs = [(u, v) for lo in (0, 5) for u in range(lo, lo + 5)
             for v in range(lo, lo + 5) if u != v]
     d = build_digraph(10, arcs + [(4, 5), (9, 0)])
@@ -264,7 +265,17 @@ def test_cut_bound_refutes_at_the_first_backtrack():
         no = packing_exists(d, {0, 9}, size)
         assert (no.exists, no.certified, no.nodes) == (False, True, 13), size
     res = max_cycle_packing(d, {0, 9})
-    assert (res.value, res.certified, res.nodes) == (1, True, 832)
+    assert (res.value, res.certified, res.nodes) == (1, True, 38)
+
+
+def test_min_packing_number_decides_at_the_degree_bound_first():
+    # On K7 at k = 6 and on K2,2,2,2 at k = 7 the value is the degree bound
+    # 6, so each solved set is settled by one decision at the bound (95 and
+    # 424 nodes in all).
+    for spec, k, most in (("complete:7", 6, 200), ("multipartite:2x4", 7, 1000)):
+        res = min_packing_number(make_family(spec), k)
+        assert (res.value, res.certified) == (6, True), spec
+        assert res.nodes <= most, (spec, res.nodes)
 
 
 def test_packing_exists_refuses_a_size_that_is_not_an_integer():

@@ -248,6 +248,22 @@ def test_tight_decision_matches_multiset_reference(instance):
         assert {seq[0] for seq in dec.packing.cycles} == {min(terminals)}
 
 
+@given(_twinned_instances(), st.integers(0, 200))
+@example((make_family("complete:5"), frozenset(range(4))), 20)
+def test_budgeted_max_is_a_verified_lower_bound(instance, budget):
+    # A budget cuts the ladder of decisions short: the value is the last
+    # one that said yes, 0 if the first, at the degree bound, ran out.
+    # Up to the cut the budgeted search walks the same tree.
+    d, terminals = instance
+    exact = max_cycle_packing(d, terminals)
+    res = max_cycle_packing(d, terminals, node_budget=budget)
+    assert verify_packing(res.packing) and len(res.packing) == res.value
+    assert res.value <= exact.value
+    assert res.certified == (exact.nodes <= budget)
+    if res.certified:
+        assert res == exact
+
+
 @st.composite
 def _flow_instances(draw):
     """Multidigraphs on at most seven vertices, parallel and antiparallel
