@@ -251,18 +251,24 @@ def validate_terminals(d: MultiDigraph, members) -> frozenset:
 
 def _checked_pairs(vertex_count, pairs, what: str) -> tuple:
     """(n, checked): the vertex count and the pairs as plain ints, checked
-    in one pass; see `build_digraph`."""
+    in one pass; see `build_digraph`.  A pair that is already a tuple of
+    two plain ints is kept as it is, so digraphs built from the same arcs
+    share them; any other pair is rebuilt as one."""
     n = checked_int(vertex_count, "vertex count", 0, sys.maxsize)
     checked = []
-    for (u, v) in pairs:
+    for pair in pairs:
+        u, v = pair
         if type(u) is not int or type(v) is not int:
-            u, v = checked_vertices(n, (u, v), f"{what} endpoint")
+            pair = checked_vertices(n, pair, f"{what} endpoint")
+            u, v = pair
+        elif type(pair) is not tuple:
+            pair = (u, v)
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"{what} ({u}, {v}) has an endpoint outside "
                              f"0..{n - 1}")
         if u == v:
             raise ValueError(f"loop {what} ({u}, {v}) is not allowed")
-        checked.append((u, v))
+        checked.append(pair)
     return n, checked
 
 

@@ -60,12 +60,26 @@ maxflow(x→y) of them fit.  Local arc-connectivity is transitive,
 maxflow(x→z) ≥ min(maxflow(x→y), maxflow(y→z)), so the flows between
 consecutive terminals in ascending cyclic order already give κ.  The
 terminals are those after the forced vertices above have joined, which
-every cycle of a t-packing passes.  Each flow first counts the
-arc-disjoint paths x→y and x→w→y, then takes unit augmenting paths if
-those fall short, and stops at t; a t above κ is refuted.  The cut is
-computed once, at the search's first backtrack, by the same lazy rule as
-the twin group below: a decision settled on its first descent, as many
-yes-instances are, never pays for its |S| flows.
+every cycle of a t-packing passes.  Each flow starts from the
+arc-disjoint paths x→y and x→w→y, adds unit augmenting paths if those
+fall short, and stops at t; a t above κ is refuted.
+
+The cut is checked in two places.  On the root's reduced instance it is
+checked at the search's first backtrack, by the same lazy rule as the
+twin group below: a decision settled on its first descent, as many
+yes-instances are, never pays for its |S| flows.  Below the root it is
+checked on the residual: a node whose cycles taken so far leave `left`
+still to find is refuted when the residual's κ is below `left`, since
+every remaining cycle passes every terminal, forced ones included, and so
+holds an x→y path in the residual.  Only subtrees without a completion
+are cut, so the witnesses do not change.  A cycle crossing a least cut
+twice lowers the residual's κ by two, which the root's check cannot see.
+The residual check runs once per node, at the first backtrack after the
+node's subtree has cost |S| times the number of support pairs of the
+reduced instance in search nodes: what one augmenting search per pair of
+consecutive terminals can scan, so the check costs at most about as much
+as the search it may save.  The value comes from the input; there is no
+option.
 
 The search branches on one cycle per orbit (orbital branching: Ostrowski,
 Linderoth, Rossi and Smriglio, Math. Programming 126, 2011).  The group
@@ -531,45 +545,62 @@ def _forced_terminals(capacity, succ, pred, out_deg, in_deg, terminals, t):
 def _capped_flow(succ, pred, capacity, x, y, goal) -> int:
     """The maximum number of arc-disjoint x→y paths, stopped at goal.
 
-    The paths of one arc, x→y, and of two, x→w→y, are arc-disjoint; when
-    they reach the goal no search is needed, as in a complete digraph.
-    Otherwise unit augmenting paths, each found by a breadth-first search
-    over residual successor masks: `res[u]` holds every w with residual
-    capacity on (u, w), that is capacity[(u, w)] minus the net flow on it.
+    The paths of one arc, x→y, and of two, x→w→y, are arc-disjoint, so
+    they start the flow.  When the pairs x→y and x→w→y present already
+    reach the goal, one path each, no capacity is read and no search is
+    needed, as in a complete digraph.  The rest comes from unit augmenting
+    paths, each found by a breadth-first search that grows one layer mask
+    at a time, as `prune_ok` does.  `res[u]` holds every w with residual
+    capacity on (u, w), that is capacity[(u, w)] minus the net flow on it,
+    and `rpred[w]` every such u; the path is read back from y through one
+    vertex of each earlier layer with a residual arc into the next.
     """
-    short = capacity.get((x, y), 0) + sum(
-        min(capacity[(x, w)], capacity[(w, y)]) for w in bits(succ[x] & pred[y]))
-    if short >= goal:
+    mids = succ[x] & pred[y]
+    if (succ[x] >> y & 1) + mids.bit_count() >= goal:
         return goal
     res = list(succ)
+    rpred = list(pred)
     net = Counter()
-    flow = 0
+
+    def push(u, v, c):
+        net[(u, v)] += c
+        net[(v, u)] -= c
+        if capacity.get((u, v), 0) == net[(u, v)]:
+            res[u] ^= 1 << v
+            rpred[v] ^= 1 << u
+        res[v] |= 1 << u
+        rpred[u] |= 1 << v
+
+    flow = capacity.get((x, y), 0)
+    if flow:
+        push(x, y, flow)
+    for w in bits(mids):
+        c = min(capacity[(x, w)], capacity[(w, y)])
+        push(x, w, c)
+        push(w, y, c)
+        flow += c
+    y_bit = 1 << y
     while flow < goal:
-        parent = {x: None}
-        seen = 1 << x
-        frontier = [x]
-        while frontier and y not in parent:
-            nxt = []
-            for u in frontier:
-                new = res[u] & ~seen
-                seen |= new
-                for w in bits(new):
-                    parent[w] = u
-                    nxt.append(w)
-            frontier = nxt
-        if y not in parent:
-            break
+        layers = []
+        front = seen = 1 << x
+        while front and not seen & y_bit:
+            layers.append(front)
+            nxt = 0
+            while front:
+                low = front & -front
+                nxt |= res[low.bit_length() - 1]
+                front ^= low
+            front = nxt & ~seen
+            seen |= front
+        if not seen & y_bit:
+            return flow
         v = y
-        while v != x:
-            u = parent[v]
-            net[(u, v)] += 1
-            net[(v, u)] -= 1
-            if capacity.get((u, v), 0) == net[(u, v)]:
-                res[u] &= ~(1 << v)
-            res[v] |= 1 << u
+        for layer in reversed(layers):
+            u = (rpred[v] & layer).bit_length() - 1
+            push(u, v, 1)
             v = u
         flow += 1
-    return flow
+    return goal
 
 
 def _cut_bound(succ, pred, capacity, terminals, goal) -> int:
@@ -583,6 +614,13 @@ def _cut_bound(succ, pred, capacity, terminals, goal) -> int:
     for x, y in zip(order, order[1:] + order[:1]):
         goal = _capped_flow(succ, pred, capacity, x, y, goal)
     return goal
+
+
+def _cut_patience(terminals, capacity) -> int:
+    """The nodes a subtree costs before its residual cut is checked: |S|
+    times the support pairs, what one augmenting search per consecutive
+    pair of terminals can scan; see the module docstring."""
+    return len(terminals) * len(capacity)
 
 
 def _reduced(d: MultiDigraph, terminals):
@@ -616,6 +654,7 @@ def _decide(instance, terminals, target, nodes):
     cur = []
     group = None
     tight = out_deg[s0] == target  # the forced first arc applies
+    patience = _cut_patience(terminals, capacity)
 
     def take(seq):
         for (u, v) in cycle_pairs(seq):
@@ -652,10 +691,14 @@ def _decide(instance, terminals, target, nodes):
         # stays None until a node there needs it, and a search settled on
         # that path never computes it.  `forbidden` holds (partition, orbit
         # keys) of every ancestor whose group was nontrivial: the orbits its
-        # earlier children branched on.
+        # earlier children branched on.  Below the root, the residual cut is
+        # checked at the first backtrack that finds the subtree has cost
+        # `patience` nodes.
+        start = nodes.count
         nodes.step()
         if len(cur) == target:
             return True
+        cut_due = bool(cur)  # the root's cut is checked by partition_here
         branched = None
         below = forbidden
         first = succ[s0] & -succ[s0]
@@ -678,6 +721,11 @@ def _decide(instance, terminals, target, nodes):
                 return True
             cur.pop()
             untake(seq)
+            if cut_due and nodes.count - start >= patience:
+                cut_due = False
+                left = target - len(cur)
+                if _cut_bound(succ, pred, residual, terminals, left) < left:
+                    return False
             if branched is not None:
                 branched.add(key)
                 continue

@@ -1,6 +1,6 @@
 import random
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 
 import networkx as nx
 import pytest
@@ -52,6 +52,25 @@ def test_parallel_arcs_kept_in_order():
     assert d.degrees()[0][0] == 2
     assert d.masks()[0][0] == 1 << 1
     assert not d.is_simple()
+
+
+_Arc = namedtuple("_Arc", "tail head")
+
+
+class _Vertex(int):
+    """An integral vertex that is not a plain int."""
+
+
+def test_int_arc_tuples_are_kept_and_others_rebuilt():
+    # A tuple of two plain ints is shared with the caller; a list, a tuple
+    # subclass or an integral value that is not an int becomes a new tuple
+    # of plain ints.
+    arcs = [(0, 1), [1, 2], (True, 2), (_Vertex(2), 0), _Arc(2, 1), (1, 0)]
+    d = build_digraph(3, arcs)
+    assert d.arcs[0] is arcs[0] and d.arcs[5] is arcs[5]
+    assert d.arcs == ((0, 1), (1, 2), (1, 2), (2, 0), (2, 1), (1, 0))
+    for arc in d.arcs:
+        assert type(arc) is tuple and {type(u) for u in arc} == {int}
 
 
 def test_degrees_and_adjacency():

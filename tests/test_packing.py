@@ -22,6 +22,7 @@ from steinercycles import (
 )
 from steinercycles.digraph import twin_partition
 from steinercycles.families import make_family
+from steinercycles.harness import eulerian_instances
 from steinercycles.packing import _colex_subsets, _enumerate_cycles, cycle_pairs
 from steinercycles.search import Nodes
 from helpers import (
@@ -266,6 +267,18 @@ def test_cut_bound_refutes_at_the_first_backtrack():
         assert (no.exists, no.certified, no.nodes) == (False, True, 13), size
     res = max_cycle_packing(d, {0, 9})
     assert (res.value, res.certified, res.nodes) == (1, True, 38)
+
+
+def test_residual_cut_refutes_the_costliest_eulerian_gadgets():
+    # The acceptance corpus's two largest Eulerian refutations: a few cycles
+    # in, the residual's cut falls below the cycles still needed, and the
+    # subtree is refuted (5,027 and 6,989 nodes with the root's cut alone).
+    gadgets = {iid: g for iid, _, g in eulerian_instances(100, 1729)}
+    for iid, most in (("eulerian-018", 1000), ("eulerian-020", 2500)):
+        g = gadgets[iid]
+        no = packing_exists(g.digraph, g.terminals, g.threshold)
+        assert (no.exists, no.certified) == (False, True), iid
+        assert no.nodes <= most, (iid, no.nodes)
 
 
 def test_min_packing_number_decides_at_the_degree_bound_first():
