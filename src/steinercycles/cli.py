@@ -10,8 +10,7 @@ give byte-identical reports (diagnostics go to stderr).
 Exit codes: 0 success, certified answer, or full agreement; 1 verified
 disagreement or invalid witness; 2 usage or parse error; 3 node budget
 exhausted (never reported as a certified optimum); 4 internal failure,
-such as a search too deep for the interpreter's recursion limit (no
-answer is given).
+a bug (no answer is given).
 """
 
 from __future__ import annotations
@@ -250,8 +249,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # Exit 1 would read as a verified disagreement, so a crash (a
-        # RecursionError on a deep search, or a bug) gets its own code.
+        # Exit 1 would read as a verified disagreement, so a crash (a bug)
+        # gets its own code.
         reason = " ".join(str(exc).split())
         print(f"internal error: {type(exc).__name__}: {reason}", file=sys.stderr)
         return 4

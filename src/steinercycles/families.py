@@ -369,51 +369,57 @@ def hamiltonian_decomposition(d: MultiDigraph,
     residual = Counter(d.arcs)
     heads = [tuple(bits(mask)) for mask in d.masks()[0]]
     anchor_heads = sorted(h for (t, h) in d.arcs if t == 0)
-    cycles = []
     nodes = Nodes(node_budget)
 
-    def extend(path, visited):
-        nodes.step()
-        v = path[-1]
-        if len(path) == n:
-            if residual[(v, 0)] > 0:
-                residual[(v, 0)] -= 1
-                cycles.append(tuple(path) + (0,))
-                if build(len(cycles)):
-                    return True
-                cycles.pop()
-                residual[(v, 0)] += 1
-            return False
-        for w in heads[v]:
-            if w == 0 or w in visited or residual[(v, w)] <= 0:
-                continue
-            residual[(v, w)] -= 1
-            visited.add(w)
-            path.append(w)
-            if extend(path, visited):
-                return True
-            path.pop()
-            visited.discard(w)
-            residual[(v, w)] += 1
-        return False
+    def closings(head):
+        # Yield in order the Hamiltonian cycles of the residual that start
+        # with the arc (0, head), holding each one's arcs while it is
+        # yielded.  A frame per path vertex is a lazy scan of its heads, so
+        # the residual is read as the search goes.
+        path = [0]
+        frames = [iter((head,))]
+        on_path = {0}
+        while frames:
+            v = path[-1]
+            for w in frames[-1]:
+                if w in on_path or residual[(v, w)] <= 0:
+                    continue
+                nodes.step()
+                residual[(v, w)] -= 1
+                if len(path) + 1 < n:
+                    path.append(w)
+                    on_path.add(w)
+                    frames.append(iter(heads[w]))
+                    break
+                if residual[(w, 0)] > 0:
+                    residual[(w, 0)] -= 1
+                    yield tuple(path) + (w, 0)
+                    residual[(w, 0)] += 1
+                residual[(v, w)] += 1
+            else:
+                frames.pop()
+                on_path.discard(path.pop())
+                if path:
+                    residual[(path[-1], v)] += 1
 
-    def build(c):
-        if c == r:
-            return True
-        head = anchor_heads[c]
-        if residual[(0, head)] <= 0:
-            return False
-        residual[(0, head)] -= 1
-        if extend([0, head], {head}):
-            return True
-        residual[(0, head)] += 1
-        return False
-
+    # stack[i] yields the candidates for the i-th cycle, which starts with
+    # the i-th smallest arc out of 0; the cycles placed so far are those
+    # its generators last yielded.
+    cycles = []
+    stack = [closings(anchor_heads[0])]
     try:
-        found = build(0)
+        while stack:
+            del cycles[len(stack) - 1:]
+            cycle = next(stack[-1], None)
+            if cycle is None:
+                stack.pop()
+                continue
+            cycles.append(cycle)
+            if len(cycles) == r:
+                return DecompositionResult(
+                    DECOMPOSED, DecompositionCertificate(d, tuple(cycles)),
+                    nodes.count)
+            stack.append(closings(anchor_heads[len(cycles)]))
     except BudgetHit:
         return DecompositionResult(BUDGET, None, nodes.count)
-    if found:
-        return DecompositionResult(
-            DECOMPOSED, DecompositionCertificate(d, tuple(cycles)), nodes.count)
     return DecompositionResult(EXHAUSTED, None, nodes.count)

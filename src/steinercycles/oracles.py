@@ -2,26 +2,28 @@
 
 These are the ground-truth side of the reduction-equivalence harness: slow
 but straightforward searches with no code shared with the packing solver.
-There are two exhaustive searches.  The demand-path search answers
-`arc_disjoint_demand_paths` by routing paths in lexicographic order (with
-max-flow prechecks for quick refusals); `weak_two_linkage` is that search
-with both demands 1.  The Steiner-cycle search finds the first simple
-cycle through a terminal set; `hamiltonian_cycle` is that search with
-every vertex a terminal.  `symmetric_two_packing_decision` answers
-whether a symmetric digraph packs two disjoint Steiner cycles: for two
-terminals via a polynomial vertex-capacity max-flow on the underlying
-graph, for more by the Steiner-cycle search, since the reversal of one
+There is one exhaustive search, `_lex_paths`: the simple s->t paths, or
+with t = s the simple cycles through s, in lexicographic order.
+`arc_disjoint_demand_paths` places its paths one demand slot at a time
+(with max-flow prechecks for quick refusals); `weak_two_linkage` is that
+search with both demands 1.  `hamiltonian_cycle` is its first cycle
+through every vertex.  `symmetric_two_packing_decision` answers whether a
+symmetric digraph packs two disjoint Steiner cycles: for two terminals
+via a polynomial vertex-capacity max-flow on the underlying graph, for
+more by its first cycle through the terminals, since the reversal of one
 cycle provides the second (bounded exhaustive search standing in for the
 polynomial algorithm cited for that case in the literature).
 
 All searches scan neighbours in ascending order and return the first
-witness found, so answers are deterministic.
+witness found, so answers are deterministic.  They keep their own stacks,
+so no input is too deep for them.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .digraph import Graph, MultiDigraph, checked_int, checked_vertices, \
     is_symmetric, underlying_graph, validate_terminals
@@ -48,37 +50,44 @@ def _heads(d: MultiDigraph) -> dict:
     return {u: sorted(hs) for u, hs in heads.items()}
 
 
-def _lex_paths(adj, has_cap, s, t, lower=None):
+def _lex_paths(adj, s, t, residual=None, lower=None, through=frozenset()):
     """Yield simple s->t paths in lexicographic order, strictly greater
-    than `lower` when given.  has_cap(u, v) gates usable arcs."""
+    than `lower` when given, that pass every vertex of `through`; with
+    t = s, the simple cycles of at least two arcs through s.
+
+    `adj` maps a vertex to its out-neighbours, ascending.  When `residual`
+    is given, only arcs it maps to a positive count are used; it is read as
+    the search goes, so a caller that changes it between two paths changes
+    the paths that follow.
+    """
     seq = [s]
     on_path = {s}
-
-    def rec(tight):
+    # one frame per path vertex: its neighbours left to scan, and lower's
+    # next entry while the path equals lower's prefix (else None)
+    frames = [[iter(adj.get(s, ())), lower[1] if lower else None]]
+    while frames:
+        heads, lo = frames[-1]
         v = seq[-1]
-        i = len(seq)
-        lo = lower[i] if (tight and lower is not None and i < len(lower)) else None
-        for w in adj.get(v, ()):
-            if not has_cap(v, w):
+        for w in heads:
+            if residual is not None and residual.get((v, w), 0) <= 0:
                 continue
             if lo is not None and w < lo:
                 continue
-            if w in on_path:
-                continue
-            still_tight = tight and lo is not None and w == lo
             if w == t:
-                if still_tight:
-                    # equal to `lower` or a proper prefix of it
-                    continue
-                yield tuple(seq) + (t,)
-            else:
+                # w == lo: equal to `lower` or a proper prefix of it
+                if w != lo and (t != s or len(seq) >= 2) \
+                        and through <= on_path:
+                    yield tuple(seq) + (t,)
+            elif w not in on_path:
                 seq.append(w)
                 on_path.add(w)
-                yield from rec(still_tight)
-                seq.pop()
-                on_path.discard(w)
-
-    yield from rec(lower is not None)
+                i = len(seq)
+                frames.append([iter(adj.get(w, ())),
+                               lower[i] if w == lo and i < len(lower) else None])
+                break
+        else:
+            frames.pop()
+            on_path.discard(seq.pop())
 
 
 def _flow_reaches(caps: dict, s, t, need: int) -> bool:
@@ -132,41 +141,38 @@ def arc_disjoint_demand_paths(d: MultiDigraph, s1, t1, d1: int,
         return OracleAnswer(False, None)
     adj = _heads(d)
     residual = dict(caps)
+    ends = [(s1, t1)] * d1 + [(s2, t2)] * d2
+    chosen = []
 
-    def has_cap(u, v):
-        return residual.get((u, v), 0) > 0
-
-    chosen = {1: [], 2: []}
-    ends = {1: (s1, t1), 2: (s2, t2)}
-    need = {1: d1, 2: d2}
-
-    def place(kind, count, lower):
-        if count == 0:
-            if kind == 1:
-                return place(2, need[2], None)
-            return True
+    def candidates(i):
+        # The paths for slot i.  Paths of one demand are placed in
+        # nondecreasing order, so each slot after a demand's first starts
+        # from the path before it: again if capacity allows, then greater.
+        s, t = ends[i]
+        lower = chosen[-1] if i not in (0, d1) else None
+        paths = _lex_paths(adj, s, t, residual, lower)
         if lower is not None and all(residual[p] > 0 for p in _pairs(lower)):
-            if _attempt(kind, count, lower, lower):
-                return True
-        s, t = ends[kind]
-        for path in _lex_paths(adj, has_cap, s, t, lower):
-            if _attempt(kind, count, path, path):
-                return True
-        return False
+            paths = chain((lower,), paths)
+        return paths
 
-    def _attempt(kind, count, path, lower):
+    # stack[i] iterates slot i's paths, and chosen[i] is the one placed
+    # while slot i + 1 searches.  A slot's path goes back into the residual
+    # before its iterator advances, which reads the residual lazily.
+    stack = [candidates(0)]
+    while stack:
+        if len(chosen) == len(stack):
+            for p in _pairs(chosen.pop()):
+                residual[p] += 1
+        path = next(stack[-1], None)
+        if path is None:
+            stack.pop()
+            continue
         for p in _pairs(path):
             residual[p] -= 1
-        chosen[kind].append(path)
-        if place(kind, count - 1, lower):
-            return True
-        chosen[kind].pop()
-        for p in _pairs(path):
-            residual[p] += 1
-        return False
-
-    if place(1, need[1], None):
-        return OracleAnswer(True, (tuple(chosen[1]), tuple(chosen[2])))
+        chosen.append(path)
+        if len(chosen) == len(ends):
+            return OracleAnswer(True, (tuple(chosen[:d1]), tuple(chosen[d1:])))
+        stack.append(candidates(len(chosen)))
     return OracleAnswer(False, None)
 
 
@@ -180,45 +186,16 @@ def weak_two_linkage(d: MultiDigraph, s1, t1, s2, t2) -> OracleAnswer:
     return OracleAnswer(True, (first, second))
 
 
-def _first_steiner_cycle(adj, terminals):
-    """The lexicographically first simple cycle through every terminal, as
-    a closed sequence from the smallest terminal, or None.
-
-    `adj` maps a vertex to its out-neighbours, ascending.  Grows simple
-    paths from the smallest terminal and closes one back to it once every
-    terminal is on it.
-    """
-    start = min(terminals)
-    path = [start]
-    on_path = {start}
-
-    def rec():
-        for w in adj.get(path[-1], ()):
-            if w == start:
-                if len(path) >= 2 and terminals <= on_path:
-                    return True
-            elif w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                if rec():
-                    return True
-                path.pop()
-                on_path.discard(w)
-        return False
-
-    return tuple(path) + (start,) if rec() else None
-
-
 def hamiltonian_cycle(g: Graph) -> OracleAnswer:
-    """Hamiltonian cycle of an undirected graph: the Steiner-cycle search
-    with every vertex a terminal.  The witness starts at vertex 0, and its
+    """Hamiltonian cycle of an undirected graph: the oracle search's first
+    cycle through every vertex.  The witness starts at vertex 0, and its
     second vertex is smaller than its last, since the first cycle in
     lexicographic order comes before its reversal."""
     n = g.vertex_count
     if n < 3:
         return OracleAnswer(False, None)
-    cycle = _first_steiner_cycle({v: g.neighbors(v) for v in range(n)},
-                                 frozenset(range(n)))
+    cycle = next(_lex_paths({v: g.neighbors(v) for v in range(n)}, 0, 0,
+                            through=frozenset(range(n))), None)
     return OracleAnswer(cycle is not None, cycle)
 
 
@@ -235,7 +212,9 @@ def symmetric_two_packing_decision(d: MultiDigraph, terminals) -> bool:
         raise ValueError("this decision procedure requires a symmetric digraph")
     terminals = validate_terminals(d, terminals)
     if len(terminals) >= 3:
-        return _first_steiner_cycle(_heads(d), terminals) is not None
+        start = min(terminals)
+        return next(_lex_paths(_heads(d), start, start, through=terminals),
+                    None) is not None
     u, v = sorted(terminals)
     g = underlying_graph(d)
     caps = {}

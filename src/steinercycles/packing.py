@@ -131,7 +131,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, takewhile
 
 from .digraph import MultiDigraph, bits, checked_int, is_integer, \
     is_symmetric, read_lines, twin_partition, validate_terminals
@@ -256,10 +256,6 @@ def reverse_cycle(d: MultiDigraph, seq) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class _Refuted(Exception):
-    pass
-
-
 def _reduce_instance(d: MultiDigraph, terminals):
     """Terminal-preserving reduction; see the module docstring.
 
@@ -370,33 +366,45 @@ def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes):
             front = nxt & ~path & ~reach
         return False
 
-    def rec(path, tight):
+    # One frame [heads left, path mask, lo] per path vertex: its heads still
+    # to try, the vertices on the path up to it, and lower's next entry
+    # while the path equals lower's prefix (else None).
+    frames = []
+
+    def enter(path, tight):
+        # Count seq[-1] as a node and push its frame unless it is pruned.
         nodes.step()
         v = seq[-1]
         if not prune_ok(v, path):
-            return
+            return False
         i = len(seq)
         lo = lower[i] if (tight and i < len(lower)) else None
-        heads = succ[v]
-        if lo is not None:
-            heads &= -1 << lo
+        heads = succ[v] if lo is None else succ[v] & -1 << lo
+        frames.append([heads, path, lo])
+        return True
+
+    enter(s0_bit, lower is not None)
+    while frames:
+        frame = frames[-1]
+        heads, path, lo = frame
         while heads:
             low = heads & -heads
             heads ^= low
             w = low.bit_length() - 1
             if w == s0:
-                if i >= 2 and not term_mask & ~path:
-                    if w == lo:
-                        # Equal prefix: the closed sequence is either equal
-                        # to `lower` or a proper prefix of it, never greater.
-                        continue
+                # With an equal prefix the closed sequence is either equal
+                # to `lower` or a proper prefix of it, never greater.
+                if len(seq) >= 2 and not term_mask & ~path and w != lo:
                     yield tuple(seq) + (s0,)
             elif not low & path:
                 seq.append(w)
-                yield from rec(path | low, w == lo)
+                if enter(path | low, w == lo):
+                    frame[0] = heads
+                    break
                 seq.pop()
-
-    yield from rec(s0_bit, lower is not None)
+        else:
+            frames.pop()
+            seq.pop()
 
 
 def enumerate_steiner_cycles(d: MultiDigraph, terminals, cap: int | None = None) -> list:
@@ -670,76 +678,81 @@ def _decide(instance, terminals, target, nodes):
                 pred[v] |= 1 << u
             residual[(u, v)] += 1
 
-    def partition_here():
-        # The root's twin partition, stabilised by every cycle taken so far.
-        # Its first call is the search's first backtrack, where the cut
-        # bound is checked on the root's reduced instance.
-        nonlocal group
-        if group is None:
-            if _cut_bound(*support, capacity, terminals, target) < target:
-                raise _Refuted
-            group = _twin_group(*support, capacity, terminals, s0)
-        part = group
-        for seq in cur:
-            part = _stabiliser(part, seq)
-        return part
-
-    def bnb(last, part, forbidden):
-        # True once `cur` holds the target.  `part` is the twin partition of
-        # this node's group.  A group only prunes from a node's second
-        # candidate on, so on the path of first children from the root it
-        # stays None until a node there needs it, and a search settled on
-        # that path never computes it.  `forbidden` holds (partition, orbit
-        # keys) of every ancestor whose group was nontrivial: the orbits its
-        # earlier children branched on.  Below the root, the residual cut is
-        # checked at the first backtrack that finds the subtree has cost
-        # `patience` nodes.
+    def enter(last, part, forbidden):
+        # The frame of a node that took `last`.  `part` is the twin
+        # partition of the node's group.  A group only prunes from a node's
+        # second candidate on, so on the path of first children from the
+        # root it stays None until a node there needs it, and a search
+        # settled on that path never computes it.  `forbidden` holds
+        # (partition, orbit keys) of every ancestor whose group was
+        # nontrivial: the orbits its earlier children branched on.  Below
+        # the root, the residual cut is checked at the first backtrack that
+        # finds the subtree has cost `patience` nodes.
         start = nodes.count
         nodes.step()
-        if len(cur) == target:
-            return True
-        cut_due = bool(cur)  # the root's cut is checked by partition_here
-        branched = None
-        below = forbidden
-        first = succ[s0] & -succ[s0]
         seqs = _enumerate_cycles(s0, terminals, succ, pred, last, nodes)
         if last is not None and all(residual[p] > 0 for p in cycle_pairs(last)):
             seqs = chain((last,), seqs)
+        if tight:
+            first = succ[s0] & -succ[s0]
+            seqs = takewhile(lambda seq: 1 << seq[1] == first, seqs)
+        # candidates, start, cut due, part, forbidden, branched, below and
+        # the orbit key of the child being searched
+        return [seqs, start, bool(cur), part, forbidden, None, forbidden, None]
+
+    # One frame per node; the node at depth i has a child in search while
+    # cur holds more than i cycles.
+    stack = [enter(None, None, [])]
+    while stack:
+        frame = stack[-1]
+        seqs, start, cut_due, part, forbidden, branched, below, key = frame
+        if len(cur) == len(stack):
+            # back from a child without a completion
+            seq = cur.pop()
+            untake(seq)
+            if cut_due and nodes.count - start >= patience:
+                frame[2] = False
+                left = target - len(cur)
+                if _cut_bound(succ, pred, residual, terminals, left) < left:
+                    stack.pop()
+                    continue
+            if branched is not None:
+                branched.add(key)
+            else:
+                if part is None:
+                    # The search's first backtrack checks the cut on the
+                    # root's reduced instance and builds the root's twin
+                    # partition; a node gets it stabilised by every cycle
+                    # taken so far.
+                    if group is None:
+                        if _cut_bound(*support, capacity, terminals,
+                                      target) < target:
+                            return None
+                        group = _twin_group(*support, capacity, terminals, s0)
+                    part = group
+                    for taken in cur:
+                        part = _stabiliser(part, taken)
+                    frame[3] = part
+                if part:
+                    branched = frame[5] = {_orbit_key(seq, part)}
+                    below = frame[6] = forbidden + [(part, branched)]
         for seq in seqs:
-            if tight and 1 << seq[1] != first:
-                break
             if forbidden and any(keys and _orbit_key(seq, p) in keys
                                  for p, keys in forbidden):
                 continue
             if branched is not None:
-                key = _orbit_key(seq, part)
+                key = frame[7] = _orbit_key(seq, part)
                 if key in branched:
                     continue
             take(seq)
             cur.append(seq)
-            if bnb(seq, part and _stabiliser(part, seq), below):
-                return True
-            cur.pop()
-            untake(seq)
-            if cut_due and nodes.count - start >= patience:
-                cut_due = False
-                left = target - len(cur)
-                if _cut_bound(succ, pred, residual, terminals, left) < left:
-                    return False
-            if branched is not None:
-                branched.add(key)
-                continue
-            if part is None:
-                part = partition_here()
-            if part:
-                branched = {_orbit_key(seq, part)}
-                below = forbidden + [(part, branched)]
-        return False
-
-    try:
-        return cur if bnb(None, None, []) else None
-    except _Refuted:
-        return None
+            stack.append(enter(seq, part and _stabiliser(part, seq), below))
+            if len(cur) == target:
+                return cur
+            break
+        else:
+            stack.pop()
+    return None
 
 
 def max_cycle_packing(d: MultiDigraph, terminals,

@@ -220,7 +220,7 @@ def test_criterion_09_symmetric_decision(monkeypatch):
     def _no_search(*args, **kwargs):
         raise AssertionError("cycle search reached on the k=2 branch")
 
-    monkeypatch.setattr(oracles_module, "_first_steiner_cycle", _no_search)
+    monkeypatch.setattr(oracles_module, "_lex_paths", _no_search)
     two_sets = 0
     for instance_id, d, terminals in symmetric_instances(100):
         if len(terminals) != 2:

@@ -108,21 +108,27 @@ def test_lambda_k_complete_solves_first_set(k4_file, tmp_path, capsys):
         "cycle: 0 5 1 3 2 4 0\n")
 
 
-def test_deep_search_exits_four_not_one(tmp_path, capsys):
-    # a 1,500-vertex directed ring with every vertex a terminal needs a
-    # cycle search deeper than the default recursion limit
+def test_deep_searches_answer(tmp_path, capsys):
+    # A 1,500-vertex directed ring with every vertex a terminal needs a
+    # cycle search 1,500 vertices deep, and 1,200 parallel arcs each way
+    # between two vertices a packing search 1,200 cycles deep; both are
+    # past the interpreter's default recursion limit.
     n = 1500
     ring = tmp_path / "ring.digraph"
     ring.write_text(f"n {n}\n" + "".join(f"a {v} {(v + 1) % n}\n"
                                           for v in range(n)))
     every = ",".join(str(v) for v in range(n))
-    for argv in (["solve", "--graph", str(ring), "--S", every],
-                 ["lambda-k", "--graph", str(ring), "--k", str(n)]):
-        assert main(argv) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("internal error: RecursionError")
-        assert captured.err.count("\n") == 1
+    assert main(["solve", "--graph", str(ring), "--S", every]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "lambda 1", "cycle: " + " ".join(map(str, range(n))) + " 0"]
+    assert captured.err == ""
+    pair = tmp_path / "pair.digraph"
+    pair.write_text("n 2\n" + "a 0 1\na 1 0\n" * 1200)
+    assert main(["solve", "--graph", str(pair), "--S", "0,1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "lambda 1200\n" + "cycle: 0 1 0\n" * 1200
+    assert captured.err == ""
 
 
 def test_formula_table(capsys):

@@ -2,7 +2,8 @@
 
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, \
+    permutations, product
 from unittest.mock import patch
 
 import networkx as nx
@@ -18,6 +19,7 @@ from steinercycles import (
     build_digraph,
     canonical_cycle,
     enumerate_steiner_cycles,
+    hamiltonian_decomposition,
     make_family,
     max_cycle_packing,
     min_packing_number,
@@ -428,6 +430,40 @@ def test_reduction_keeps_exactly_the_steiner_cycles(instance):
         for steps in product(*options):
             expanded.append(seq[:1] + sum(steps, ()))
     assert sorted(expanded) == enumerate_steiner_cycles(d, terminals)
+
+
+@st.composite
+def _regular_multidigraphs(draw):
+    # r-regular: the union of r fixed-point-free permutations of n vertices
+    n = draw(st.integers(2, 5))
+    r = draw(st.integers(1, 3))
+    arcs = []
+    for _ in range(r):
+        perm = draw(st.permutations(range(n)).filter(
+            lambda p: all(p[v] != v for v in range(n))))
+        arcs += [(v, perm[v]) for v in range(n)]
+    return build_digraph(n, draw(st.permutations(arcs))), r
+
+
+@given(_regular_multidigraphs())
+@example((make_family("complete:4"), 3))
+# decomposes only after backtracking past a closed first cycle
+@example((build_digraph(5, [(0, 2), (0, 2), (0, 4), (1, 0), (1, 3), (1, 4),
+                            (2, 1), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2),
+                            (4, 0), (4, 1), (4, 3)]), 3))
+def test_decomposition_matches_brute_force_partition(instance):
+    # Brute force: some r Hamiltonian cycles of the support, repeats
+    # allowed, use every arc instance exactly once.
+    d, r = instance
+    n = d.vertex_count
+    arcs = Counter(d.arcs)
+    hamiltonian = [(0,) + rest + (0,) for rest in permutations(range(1, n))
+                   if all(arcs[p] for p in zip((0,) + rest, rest + (0,)))]
+    exists = any(sum((Counter(zip(c, c[1:])) for c in pick), Counter()) == arcs
+                 for pick in combinations_with_replacement(hamiltonian, r))
+    res = hamiltonian_decomposition(d)
+    assert res.status == ("decomposed" if exists else "exhausted")
+    assert res.certificate is None or res.certificate.is_valid()
 
 
 def test_reduction_of_a_long_ring_is_one_merged_2_cycle():
