@@ -8,9 +8,10 @@ lines.  All output is deterministic: identical inputs, flags, and seed
 give byte-identical reports (diagnostics go to stderr).
 
 Exit codes: 0 success, certified answer, or full agreement; 1 verified
-disagreement or invalid witness; 2 usage or parse error; 3 node budget
-exhausted (never reported as a certified optimum); 4 internal failure,
-a bug (no answer is given).
+disagreement or invalid witness; 2 usage or parse error, or an instance
+too large for this machine's memory; 3 node budget exhausted (never
+reported as a certified optimum); 4 internal failure, a bug (no answer
+is given).
 """
 
 from __future__ import annotations
@@ -247,6 +248,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # e.g. a declared vertex count too large for one list entry per vertex
+        print("error: instance too large for this machine", file=sys.stderr)
         return 2
     except Exception as exc:
         # Exit 1 would read as a verified disagreement, so a crash (a bug)

@@ -23,9 +23,10 @@ decomposition of the whole arc set into Hamiltonian cycles, found by
 complete digraph exactly when n is not 4 or 6 (Tillson, 1980), and for
 every balanced multipartite digraph other than those two.  For odd n it
 is built directly: the translates of one cycle read off a sequencing of
-Z_{n-1} (Gordon, 1961).  Every other regular digraph, even complete ones
-included, is searched, so the search doubles as an exhaustive refuter on
-the exceptions.  The lack of a
+Z_{n-1} (Gordon, 1961).  Every other r-regular digraph, even complete
+ones included, is decided by the packing search with every vertex a
+terminal: r arc-disjoint Hamiltonian cycles use every arc, so that search
+doubles as an exhaustive refuter on the exceptions.  The lack of a
 decomposition does not by itself cap the value below n - 1: with few
 terminals the n - 1 cycles need not be Hamiltonian, which is why the
 6-vertex drop starts at k = 5 and not at k = 4.
@@ -33,13 +34,12 @@ terminals the n - 1 cycles need not be Hamiltonian, which is why the
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .digraph import MultiDigraph, bits, build_digraph, checked_int, \
+from .digraph import MultiDigraph, build_digraph, checked_int, \
     checked_vertices, is_integer
-from .packing import CyclePacking, verify_packing
-from .search import BudgetHit, Nodes, check_budget
+from .packing import CyclePacking, packing_exists, verify_packing
+from .search import check_budget
 
 DECOMPOSED = "decomposed"
 EXHAUSTED = "exhausted"
@@ -281,7 +281,7 @@ def small_complete_packing(n: int, terminals) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian decomposition search.
+# Hamiltonian decompositions.
 # ---------------------------------------------------------------------------
 
 
@@ -335,15 +335,16 @@ def hamiltonian_decomposition(d: MultiDigraph,
 
     The simple complete digraph on an odd number of vertices is recognised
     in O(m) and decomposed by construction (`_odd_complete_cycles`), with
-    0 nodes; the result is checked with `is_valid` and a failed check
-    raises RuntimeError, so no unverified certificate is returned.
-
-    Every other regular digraph is searched.  The search anchors every
-    cycle at vertex 0: the i-th cycle starts with the i-th smallest
-    outgoing arc of 0 (cycles are recovered sorted by their first step, so
-    each partition is visited once).  EXHAUSTED means the full search
-    space was ruled out; BUDGET means the node budget ran out first and
+    0 nodes.  Every other r-regular digraph is decided by the packing
+    search with every vertex a terminal: r arc-disjoint Hamiltonian cycles
+    hold all n * r arcs, so they exist exactly when the arcs decompose.
+    `nodes` is that search's node count.  EXHAUSTED means the search ruled
+    the packing out; BUDGET means the node budget ran out first and
     nothing is certified.
+
+    Every decomposition, built or found, is checked with `is_valid`
+    before it is returned; a failed check raises RuntimeError, so no
+    unverified certificate is returned.
     """
     check_budget(node_budget)
     n = d.vertex_count
@@ -356,70 +357,18 @@ def hamiltonian_decomposition(d: MultiDigraph,
     out, into = d.degrees()
     if any(c != r for c in out + into):
         return DecompositionResult(EXHAUSTED, None, 0)
-    # m = n(n - 1) distinct ordered pairs u != v are all of them, so d is
-    # the simple complete digraph.
-    if n % 2 and r == n - 1 and \
-            len({(u, v) for (u, v) in d.arcs if u != v}) == m:
-        cert = DecompositionCertificate(d, _odd_complete_cycles(n))
-        if not cert.is_valid():
-            raise RuntimeError("the sequencing construction gave no "
-                               f"decomposition of the complete digraph on {n}")
-        return DecompositionResult(DECOMPOSED, cert, 0)
-
-    residual = Counter(d.arcs)
-    heads = [tuple(bits(mask)) for mask in d.masks()[0]]
-    anchor_heads = sorted(h for (t, h) in d.arcs if t == 0)
-    nodes = Nodes(node_budget)
-
-    def closings(head):
-        # Yield in order the Hamiltonian cycles of the residual that start
-        # with the arc (0, head), holding each one's arcs while it is
-        # yielded.  A frame per path vertex is a lazy scan of its heads, so
-        # the residual is read as the search goes.
-        path = [0]
-        frames = [iter((head,))]
-        on_path = {0}
-        while frames:
-            v = path[-1]
-            for w in frames[-1]:
-                if w in on_path or residual[(v, w)] <= 0:
-                    continue
-                nodes.step()
-                residual[(v, w)] -= 1
-                if len(path) + 1 < n:
-                    path.append(w)
-                    on_path.add(w)
-                    frames.append(iter(heads[w]))
-                    break
-                if residual[(w, 0)] > 0:
-                    residual[(w, 0)] -= 1
-                    yield tuple(path) + (w, 0)
-                    residual[(w, 0)] += 1
-                residual[(v, w)] += 1
-            else:
-                frames.pop()
-                on_path.discard(path.pop())
-                if path:
-                    residual[(path[-1], v)] += 1
-
-    # stack[i] yields the candidates for the i-th cycle, which starts with
-    # the i-th smallest arc out of 0; the cycles placed so far are those
-    # its generators last yielded.
-    cycles = []
-    stack = [closings(anchor_heads[0])]
-    try:
-        while stack:
-            del cycles[len(stack) - 1:]
-            cycle = next(stack[-1], None)
-            if cycle is None:
-                stack.pop()
-                continue
-            cycles.append(cycle)
-            if len(cycles) == r:
-                return DecompositionResult(
-                    DECOMPOSED, DecompositionCertificate(d, tuple(cycles)),
-                    nodes.count)
-            stack.append(closings(anchor_heads[len(cycles)]))
-    except BudgetHit:
-        return DecompositionResult(BUDGET, None, nodes.count)
-    return DecompositionResult(EXHAUSTED, None, nodes.count)
+    # build_digraph refuses loops, so m = n(n - 1) distinct ordered pairs
+    # are all of them and d is the simple complete digraph.
+    if n % 2 and r == n - 1 and len(set(d.arcs)) == m:
+        cycles, nodes = _odd_complete_cycles(n), 0
+    else:
+        res = packing_exists(d, range(n), r, node_budget)
+        if not res.exists:
+            return DecompositionResult(EXHAUSTED if res.certified else BUDGET,
+                                       None, res.nodes)
+        cycles, nodes = res.packing.cycles, res.nodes
+    cert = DecompositionCertificate(d, cycles)
+    if not cert.is_valid():
+        raise RuntimeError("the decomposition of a digraph on "
+                           f"{n} vertices failed its check")
+    return DecompositionResult(DECOMPOSED, cert, nodes)

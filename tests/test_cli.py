@@ -80,6 +80,19 @@ def test_oversized_vertex_count_is_usage_error(tmp_path, capsys):
         assert "vertex count" in captured.err
 
 
+def test_instance_too_large_for_memory_is_usage_error(tmp_path, capsys):
+    # sys.maxsize parses, but a list of that many entries is refused with
+    # MemoryError before anything is allocated.
+    graph = tmp_path / "huge.digraph"
+    graph.write_text(f"n {sys.maxsize}\na 0 1\na 1 0\n")
+    for argv in (["solve", "--graph", str(graph), "--S", "0,1"],
+                 ["lambda-k", "--graph", str(graph), "--k", "2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: instance too large for this machine\n"
+
+
 def test_lambda_k_output(k4_file, capsys):
     assert main(["lambda-k", "--graph", k4_file, "--k", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -222,6 +235,34 @@ def test_decompose_failed_construction_exits_four(tmp_path, capsys,
     path = tmp_path / "k5.digraph"
     path.write_text("n 5\n" + "".join(
         f"a {u} {v}\n" for u in range(5) for v in range(5) if u != v))
+    assert main(["decompose", "--graph", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: RuntimeError")
+
+
+def test_decompose_invalid_search_result_exits_four(tmp_path, capsys,
+                                                   monkeypatch):
+    # A decomposition found by the search passes the same check as the
+    # construction: a packing whose last cycle skips a vertex raises.
+    import dataclasses
+
+    import steinercycles.families as families_module
+    found = families_module.packing_exists
+
+    def broken(*args):
+        res = found(*args)
+        *cycles, last = res.packing.cycles
+        packing = dataclasses.replace(
+            res.packing, cycles=(*cycles, last[:1] + last[2:]))
+        return dataclasses.replace(res, packing=packing)
+
+    monkeypatch.setattr(families_module, "packing_exists", broken)
+    d = make_family("multipartite:2x3")
+    with pytest.raises(RuntimeError):
+        families_module.hamiltonian_decomposition(d)
+    path = tmp_path / "k222.digraph"
+    path.write_text(serialize_digraph(d))
     assert main(["decompose", "--graph", str(path)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -267,15 +267,15 @@ def test_decomposition_recognises_complete_in_any_arc_order():
 
 
 def test_decomposition_near_complete_inputs_are_searched():
-    # Not the simple complete digraph, so the search decides as before.
+    # Not the simple complete digraph, so the packing search decides.
     arcs = list(make_family("complete:7").arcs)
     ham = (0, 1, 2, 4, 3, 6, 5, 0)
     ham_arcs = list(zip(ham, ham[1:]))
     cases = (
         (arcs[1:], "exhausted", 0),  # one arc removed
         (arcs + arcs[:1], "exhausted", 0),  # one arc doubled
-        (arcs + ham_arcs, "decomposed", 86),  # a Hamiltonian cycle doubled
-        ([a for a in arcs if a not in ham_arcs], "decomposed", 87),  # removed
+        (arcs + ham_arcs, "decomposed", 104),  # a Hamiltonian cycle doubled
+        ([a for a in arcs if a not in ham_arcs], "decomposed", 104),  # removed
     )
     for case_arcs, status, nodes in cases:
         res = hamiltonian_decomposition(build_digraph(7, case_arcs))
@@ -283,7 +283,7 @@ def test_decomposition_near_complete_inputs_are_searched():
         assert res.certificate is None or res.certificate.is_valid()
     # (n - 1)-regular on odd n, but with repeated pairs: a doubled 3-cycle.
     res = hamiltonian_decomposition(build_digraph(3, [(0, 1), (1, 2), (2, 0)] * 2))
-    assert (res.status, res.nodes) == ("decomposed", 4)
+    assert (res.status, res.nodes) == ("decomposed", 6)
     assert res.certificate.cycles == ((0, 1, 2, 0), (0, 1, 2, 0))
 
 
@@ -303,8 +303,8 @@ def test_decomposition_construction_is_checked(monkeypatch):
 
 
 def test_decomposition_even_complete_refuted():
-    # The search refutes both exceptions; its tree is pinned exactly.
-    for n, nodes in ((4, 13), (6, 10271)):
+    # The packing search refutes both exceptions; its tree is pinned exactly.
+    for n, nodes in ((4, 18), (6, 589)):
         res = hamiltonian_decomposition(make_family(f"complete:{n}"))
         assert res.status == "exhausted"
         assert res.certificate is None
