@@ -18,11 +18,13 @@ residual support as successor and predecessor bitmasks and prunes a
 partial cycle when the closing vertex or a missing terminal is out of
 reach.
 
-The maximum is a ladder of decisions on one reduced instance: first t =
-the degree bound, where a yes is the maximum; after a no, t = 1, 2, ...
-up to the first no.  A t-packing holds a (t - 1)-packing, so a no at t
-proves the value is below t, and the last yes (none: the value is 0) is a
-maximum packing.
+The maximum is a ladder of decisions on one reduced instance.  Every
+state of a decision's search holds a packing, the cycles taken so far,
+and the ladder keeps the deepest one.  It decides first at t = the degree
+bound, where a yes is the maximum; after a no, from one above the
+deepest packing up to the first no.  A t-packing holds a (t - 1)-packing,
+so a no at t proves the value is below t, and the deepest packing is a
+maximum; under a node budget it is the lower bound reported.
 
 Each cycle taken lowers every terminal's residual degrees by exactly one,
 so the bound itself never prunes inside the search.  Its equality case
@@ -644,11 +646,13 @@ def _reduced(d: MultiDigraph, terminals):
     return (capacity, succ, pred, out_deg, in_deg), chains, bound
 
 
-def _decide(instance, terminals, target, nodes):
+def _decide(instance, terminals, target, nodes, deepest):
     """`target` arc-disjoint Steiner cycles of a reduced instance, as
     reduced sequences, or None when none exist; 1 <= target <= the degree
     bound.  The residual starts from copies of the instance's masks and
-    capacities, and BudgetHit from `nodes` propagates."""
+    capacities, and BudgetHit from `nodes` propagates.  The cycles taken
+    at a node are a packing; they overwrite the caller's list `deepest`
+    whenever they outnumber it."""
     capacity, succ, pred, out_deg, in_deg = instance
     s0 = min(terminals)
     terminals = _forced_terminals(capacity, succ, pred, out_deg, in_deg,
@@ -746,6 +750,8 @@ def _decide(instance, terminals, target, nodes):
                     continue
             take(seq)
             cur.append(seq)
+            if len(cur) > len(deepest):
+                deepest[:] = cur
             stack.append(enter(seq, part and _stabiliser(part, seq), below))
             if len(cur) == target:
                 return cur
@@ -755,34 +761,38 @@ def _decide(instance, terminals, target, nodes):
     return None
 
 
+def _ladder(d: MultiDigraph, terminals, nodes):
+    """(packing, certified) for a validated terminal set: the ladder of
+    decisions in the module docstring, counting on `nodes`.  When the
+    budget runs out the packing is the deepest any rung held, and
+    certified is False."""
+    instance, chains, bound = _reduced(d, terminals)
+    deepest = []
+    certified = True
+    try:
+        if bound and not _decide(instance, terminals, bound, nodes, deepest):
+            for t in range(len(deepest) + 1, bound):
+                if not _decide(instance, terminals, t, nodes, deepest):
+                    break
+    except BudgetHit:
+        certified = False
+    packing = CyclePacking(d, terminals, _expand_witness(deepest, chains))
+    return packing, certified
+
+
 def max_cycle_packing(d: MultiDigraph, terminals,
                       node_budget: int | None = None) -> PackingResult:
     """Maximum number of pairwise arc-disjoint Steiner cycles, with witness.
 
-    A ladder of decisions sharing one node counter; see the module
-    docstring.  The result is certified unless the node budget ran out
-    first; then `value` is the last decision that said yes (0 if the first
-    ran out), a lower bound with its witness.
+    The ladder of decisions in the module docstring, on one node counter
+    for the call.  The result is certified unless the node budget ran out
+    first; then `value` is the most cycles any decision held, a lower
+    bound with its witness.
     """
     check_budget(node_budget)
     terminals = validate_terminals(d, terminals)
-    instance, chains, bound = _reduced(d, terminals)
     nodes = Nodes(node_budget)
-    seqs = ()
-    certified = True
-    try:
-        if bound:
-            seqs = _decide(instance, terminals, bound, nodes)
-        if seqs is None:
-            seqs = ()
-            for t in range(1, bound):
-                found = _decide(instance, terminals, t, nodes)
-                if found is None:
-                    break
-                seqs = found
-    except BudgetHit:
-        certified = False
-    packing = CyclePacking(d, terminals, _expand_witness(seqs, chains))
+    packing, certified = _ladder(d, terminals, nodes)
     return PackingResult(len(packing), packing, certified, nodes.count)
 
 
@@ -800,7 +810,8 @@ def packing_exists(d: MultiDigraph, terminals, size: int,
     instance, chains, bound = _reduced(d, terminals)
     nodes = Nodes(node_budget)
     try:
-        seqs = _decide(instance, terminals, size, nodes) if size <= bound else None
+        seqs = (_decide(instance, terminals, size, nodes, [])
+                if size <= bound else None)
     except BudgetHit:
         return ExistenceResult(False, False, None, nodes.count)
     if seqs is None:
@@ -857,32 +868,22 @@ def min_packing_number(d: MultiDigraph, k: int,
     orbit.  The colex-first set attaining the minimum is therefore always
     solved, and without a node budget `value`, `witness_set`, `witness` and
     `certified` are those of the scan over every k-subset; only `nodes` can
-    be smaller.  A node budget is shared by the sets solved, in scan order.
+    be smaller.  The sets solved share one node counter; the scan stops,
+    uncertified, at the first set the budget cuts short, and that set's
+    lower bound counts towards the minimum.
     """
     check_budget(node_budget)
     k = checked_int(k, "k", 2, d.vertex_count)
-    best = None
-    witness_set = None
+    nodes = Nodes(node_budget)
     witness = None
-    certified = True
-    total_nodes = 0
     for subset in _orbit_representatives(d, k):
-        remaining = None if node_budget is None else node_budget - total_nodes
-        if remaining is not None and remaining <= 0:
-            certified = False
+        packing, certified = _ladder(d, frozenset(subset), nodes)
+        if witness is None or len(packing) < len(witness):
+            witness = packing
+        if not certified or not packing:
             break
-        res = max_cycle_packing(d, subset, node_budget=remaining)
-        total_nodes += res.nodes
-        certified = certified and res.certified
-        if best is None or res.value < best:
-            best = res.value
-            witness_set = frozenset(subset)
-            witness = res.packing
-        if best == 0 and res.certified:
-            # A certified zero is already the minimum, whatever the rest say.
-            certified = True
-            break
-    return MinPackingResult(best, witness_set, witness, certified, total_nodes)
+    return MinPackingResult(len(witness), witness.terminals, witness,
+                            certified, nodes.count)
 
 
 # ---------------------------------------------------------------------------

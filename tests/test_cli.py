@@ -38,6 +38,37 @@ def test_solve_budget_exit_code(k4_file, capsys):
     assert value <= 3
 
 
+def test_solve_budget_reports_the_deepest_packing(tmp_path, capsys):
+    # The decision at the degree bound runs out of budget holding four
+    # cycles of K6, and those are the lower bound printed.
+    k6 = tmp_path / "k6.digraph"
+    k6.write_text(serialize_digraph(make_family("complete:6")))
+    assert main(["solve", "--graph", str(k6), "--S", "0,1,2,3,4,5",
+                 "--budget", "100"]) == 3
+    captured = capsys.readouterr()
+    assert "node budget exhausted" in captured.err
+    value, cycles = parse_witness(captured.out)
+    assert value == 4 and len(cycles) == 4
+    packing = CyclePacking(make_family("complete:6"), frozenset(range(6)),
+                           cycles)
+    assert verify_packing(packing)
+
+
+def test_budget_zero_answers_with_an_empty_witness(k4_file, capsys):
+    # No search node is allowed, so both commands print the empty packing
+    # as an uncertified lower bound.
+    assert main(["solve", "--graph", k4_file, "--S", "0,1",
+                 "--budget", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "lambda 0\n"
+    assert "node budget exhausted" in captured.err
+    assert main(["lambda-k", "--graph", k4_file, "--k", "2",
+                 "--budget", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "k 2\nS: 0,1\nlambda 0\n"
+    assert "not certified" in captured.err
+
+
 @pytest.mark.parametrize("terminals", ["0,,1,", "0,1,", ",0,1", ""])
 def test_solve_refuses_an_empty_terminal_item(terminals, k4_file, capsys):
     # Dropping the empty items would answer for {0, 1}, a set nobody gave.

@@ -257,8 +257,9 @@ def test_cut_bound_refutes_at_the_first_backtrack():
     # Two bidirected K5s joined by the arcs 4->5 and 9->0: the degree bound
     # of {0, 9} is 4, but every Steiner cycle crosses 4->5, so
     # maxflow(0->9) = 1 and each decision above 1 stops at the first
-    # backtrack.  The maximum is refuted at the bound 4 (13 nodes), then
-    # says yes at 1 (12 nodes) and no at 2 (13 nodes).
+    # backtrack.  The maximum is refuted at the bound 4 (13 nodes); that
+    # search already held one cycle, so the ladder decides at 2 next and
+    # is refuted there too (13 nodes).
     arcs = [(u, v) for lo in (0, 5) for u in range(lo, lo + 5)
             for v in range(lo, lo + 5) if u != v]
     d = build_digraph(10, arcs + [(4, 5), (9, 0)])
@@ -266,7 +267,20 @@ def test_cut_bound_refutes_at_the_first_backtrack():
         no = packing_exists(d, {0, 9}, size)
         assert (no.exists, no.certified, no.nodes) == (False, True, 13), size
     res = max_cycle_packing(d, {0, 9})
-    assert (res.value, res.certified, res.nodes) == (1, True, 38)
+    assert (res.value, res.certified, res.nodes) == (1, True, 26)
+
+
+def test_budgeted_max_keeps_the_deepest_packing():
+    # On K6 with all six terminals the decision at the degree bound 5 is a
+    # no after 589 nodes, and its search holds four cycles long before
+    # that.  The maximum is those four: no rung is left to decide, and a
+    # budget that cuts the search short still reports them.
+    d = make_family("complete:6")
+    res = max_cycle_packing(d, range(6))
+    assert (res.value, res.certified, res.nodes) == (4, True, 589)
+    res = max_cycle_packing(d, range(6), node_budget=100)
+    assert (res.value, res.certified) == (4, False)
+    assert verify_packing(res.packing) and len(res.packing) == 4
 
 
 def test_residual_cut_refutes_the_costliest_eulerian_gadgets():

@@ -255,14 +255,40 @@ def test_tight_decision_matches_multiset_reference(instance):
 @given(_twinned_instances(), st.integers(0, 200))
 @example((make_family("complete:5"), frozenset(range(4))), 20)
 def test_budgeted_max_is_a_verified_lower_bound(instance, budget):
-    # A budget cuts the ladder of decisions short: the value is the last
-    # one that said yes, 0 if the first, at the degree bound, ran out.
-    # Up to the cut the budgeted search walks the same tree.
+    # A budget cuts the ladder of decisions short: the value is the most
+    # cycles any decision's search held before the cut, with those cycles
+    # as its witness.  Up to the cut the budgeted search walks the same
+    # tree.
     d, terminals = instance
     exact = max_cycle_packing(d, terminals)
     res = max_cycle_packing(d, terminals, node_budget=budget)
     assert verify_packing(res.packing) and len(res.packing) == res.value
     assert res.value <= exact.value
+    assert res.certified == (exact.nodes <= budget)
+    if res.certified:
+        assert res == exact
+
+
+@st.composite
+def _twinned_sizes(draw):
+    d = draw(_twinned_multidigraphs())
+    return d, draw(st.integers(2, d.vertex_count))
+
+
+@given(_twinned_sizes(), st.integers(0, 200))
+@example((make_family("complete:4"), 2), 0)
+def test_budgeted_min_is_a_verified_witness(instance, budget):
+    # The sets solved share one node counter, and the scan stops at the
+    # first set the budget cuts short.  Wherever it stops, the witness set
+    # has k members and its packing verifies.  Up to the cut the budgeted
+    # scan walks the same trees as the unbudgeted one.
+    d, k = instance
+    exact = min_packing_number(d, k)
+    res = min_packing_number(d, k, node_budget=budget)
+    assert len(res.witness_set) == k
+    assert res.witness.terminals == res.witness_set
+    assert verify_packing(res.witness) and len(res.witness) == res.value
+    assert res.nodes <= budget + 1
     assert res.certified == (exact.nodes <= budget)
     if res.certified:
         assert res == exact
