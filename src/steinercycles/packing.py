@@ -67,21 +67,20 @@ arc-disjoint paths x→y and x→w→y, adds unit augmenting paths if those
 fall short, and stops at t; a t above κ is refuted.
 
 The cut is checked in two places.  On the root's reduced instance it is
-checked at the search's first backtrack, by the same lazy rule as the
-twin group below: a decision settled on its first descent, as many
-yes-instances are, never pays for its |S| flows.  Below the root it is
-checked on the residual: a node whose cycles taken so far leave `left`
-still to find is refuted when the residual's κ is below `left`, since
-every remaining cycle passes every terminal, forced ones included, and so
-holds an x→y path in the residual.  Only subtrees without a completion
-are cut, so the witnesses do not change.  A cycle crossing a least cut
-twice lowers the residual's κ by two, which the root's check cannot see.
-The residual check runs once per node, at the first backtrack after the
-node's subtree has cost |S| times the number of support pairs of the
-reduced instance in search nodes: what one augmenting search per pair of
-consecutive terminals can scan, so the check costs at most about as much
-as the search it may save.  The value comes from the input; there is no
-option.
+checked at the search's first backtrack: a decision settled on its first
+descent, as many yes-instances are, never pays for its |S| flows.  Below
+the root it is checked on the residual: a node whose cycles taken so far
+leave `left` still to find is refuted when the residual's κ is below
+`left`, since every remaining cycle passes every terminal, forced ones
+included, and so holds an x→y path in the residual.  Only subtrees without
+a completion are cut, so the witnesses do not change.  A cycle crossing a
+least cut twice lowers the residual's κ by two, which the root's check
+cannot see.  The residual check runs once per node, at the first backtrack
+after the node's subtree has cost |S| times the number of support pairs of
+the reduced instance in search nodes: what one augmenting search per pair
+of consecutive terminals can scan, so the check costs at most about as
+much as the search it may save.  The value comes from the input; there is
+no option.
 
 The search branches on one cycle per orbit (orbital branching: Ostrowski,
 Linderoth, Rossi and Smriglio, Math. Programming 126, 2011).  The group
@@ -97,8 +96,8 @@ it took again if capacity allows, then greater ones) and branches on the
 first cycle of each orbit, r_1, r_2, ...; it skips a cycle in the orbit of
 an earlier branch here, or in an orbit forbidden at an ancestor.  Child i
 takes r_i and forbids the orbits of r_1, ..., r_{i-1}.  The group prunes
-nothing before a node's second candidate, so it is built only then, and a
-search settled on its first descent never builds it.
+nothing before a node's second candidate, so a node below the root builds
+it only then.
 
 Soundness: take any packing the node allows and let i be the least index
 whose orbit it meets.  Some g in G maps a cycle of it in that orbit onto
@@ -109,6 +108,31 @@ child i.  The lexicographic lower bound stays sound: a cycle below r_i
 that the node allows lies in an orbit whose first member, its
 representative, comes before r_i, so child i forbids it.  With a trivial
 group and nothing forbidden the search is the plain sorted-multiset one.
+
+The root's enumerator also skips what the group would.  A cycle's orbit
+key is its lexicographically least member: s0 is fixed and leads every
+cycle, and the j-th member of a class is the least choice left for the
+class's j-th vertex to appear.  So the root branches only on keys.  A key
+adds each class's members in ascending order, so a path prefix that adds w
+while a smaller member of w's class is off the path begins no key, and the
+root's enumerator skips it (canonical augmentation: McKay, J. Algorithms
+26, 1998; Margot, Math. Programming 94, 2002).  Each frame carries the
+mask of vertices it may add, those whose next smaller class-mate is on its
+path or that have none, and a child's mask adds the next member of the
+vertex it took, so the skip costs no test per candidate.  The skip drops
+only prefixes that begin no key, so it is sound from any point of the
+enumeration on, and every node it drops the plain enumeration visits.  The
+root builds its group lazily: once its enumeration has cost as many nodes
+as the instance has support pairs, about what `twin_partition` costs, or
+at the search's first backtrack, and it then re-masks every open frame.  A
+search settled on its first descent within that many root nodes never
+builds the group.  The skip pays most on the replacement gadget, whose two
+channels of an edge are twins: where the source graph has no Hamiltonian
+cycle the root finds no cycle and never backtracks, and without the skip
+its enumeration meets each path of the source graph once per choice of
+channels.  Below the root the enumerators do not skip: the lower bound
+`last` can exclude an orbit's key while it admits other members of the
+orbit.
 
 Before searching, the instance is reduced: non-terminal vertices that miss
 incoming or outgoing arcs are deleted, and non-terminal vertices with
@@ -316,7 +340,8 @@ def _reduce_instance(d: MultiDigraph, terminals):
     return capacity, chains, succ, pred
 
 
-def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes):
+def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes,
+                      group=None, due=0):
     """Yield canonical Steiner cycle sequences in lexicographic order.
 
     `succ[u]` and `pred[v]` are bitmasks over vertex ids: the heads of the
@@ -324,10 +349,23 @@ def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes):
     sequences strictly greater than `lower` are produced when it is given.
     The search prunes branches from which the remaining terminals or the
     closing vertex are unreachable.
+
+    At the root of a decision, `group` returns the twin partition of the
+    root's group (see `_twin_group`).  It is called at the first frame
+    pushed or popped once the enumeration has cost `due` nodes, or when
+    the enumerator is first resumed after a yield, whichever comes first.
+    From then on only orbit keys are yielded, the cycles c with
+    `_orbit_key(c, part) == c`; before then at most the first cycle was,
+    and it is one.
     """
     s0_bit = 1 << s0
     term_mask = sum(1 << s for s in terminals)
     seq = [s0]
+    # mates[v] is the bit of the next member of v's class, if any; a frame's
+    # `free` mask holds the vertices whose next smaller class-mate is on its
+    # path, or that have none.
+    mates = [0] * len(succ)
+    due += nodes.count
 
     def prune_ok(v, path):
         # Forward from v through vertices off the path: some reached vertex
@@ -368,12 +406,27 @@ def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes):
             front = nxt & ~path & ~reach
         return False
 
-    # One frame [heads left, path mask, lo] per path vertex: its heads still
-    # to try, the vertices on the path up to it, and lower's next entry
-    # while the path equals lower's prefix (else None).
+    def canonical():
+        # The group is in: a prefix adding w while a smaller member of w's
+        # class is off the path begins no orbit key, so every open frame
+        # drops such heads.  `frames[i]` is the frame of seq[i].
+        later = 0
+        for cls in set(group().values()):
+            for a, b in zip(cls, cls[1:]):
+                mates[a] = 1 << b
+                later |= 1 << b
+        free = ~later
+        for v, frame in zip(seq, frames):
+            free |= mates[v]
+            frame[0] &= free
+            frame[3] = free
+
+    # One frame [heads left, path mask, lo, free] per path vertex: its heads
+    # still to try, the vertices on the path up to it, lower's next entry
+    # while the path equals lower's prefix (else None), and its free mask.
     frames = []
 
-    def enter(path, tight):
+    def enter(path, tight, free):
         # Count seq[-1] as a node and push its frame unless it is pruned.
         nodes.step()
         v = seq[-1]
@@ -381,14 +434,17 @@ def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes):
             return False
         i = len(seq)
         lo = lower[i] if (tight and i < len(lower)) else None
-        heads = succ[v] if lo is None else succ[v] & -1 << lo
-        frames.append([heads, path, lo])
+        heads = succ[v] & free if lo is None else succ[v] & free & -1 << lo
+        frames.append([heads, path, lo, free])
         return True
 
-    enter(s0_bit, lower is not None)
+    enter(s0_bit, lower is not None, -1)
     while frames:
+        if group and nodes.count >= due:
+            canonical()
+            group = None
         frame = frames[-1]
-        heads, path, lo = frame
+        heads, path, lo, free = frame
         while heads:
             low = heads & -heads
             heads ^= low
@@ -398,9 +454,14 @@ def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes):
                 # to `lower` or a proper prefix of it, never greater.
                 if len(seq) >= 2 and not term_mask & ~path and w != lo:
                     yield tuple(seq) + (s0,)
+                    if group:
+                        # resumed: the caller's search has backtracked
+                        frame[0] = heads
+                        due = 0
+                        break
             elif not low & path:
                 seq.append(w)
-                if enter(path | low, w == lo):
+                if enter(path | low, w == lo, free | mates[w]):
                     frame[0] = heads
                     break
                 seq.pop()
@@ -665,8 +726,15 @@ def _decide(instance, terminals, target, nodes, deepest):
     residual = dict(capacity)
     cur = []
     group = None
+    root_cut = True  # the cut on the root's reduced instance is unchecked
     tight = out_deg[s0] == target  # the forced first arc applies
     patience = _cut_patience(terminals, capacity)
+
+    def root_group():
+        nonlocal group
+        if group is None:
+            group = _twin_group(*support, capacity, terminals, s0)
+        return group
 
     def take(seq):
         for (u, v) in cycle_pairs(seq):
@@ -691,10 +759,14 @@ def _decide(instance, terminals, target, nodes, deepest):
         # (partition, orbit keys) of every ancestor whose group was
         # nontrivial: the orbits its earlier children branched on.  Below
         # the root, the residual cut is checked at the first backtrack that
-        # finds the subtree has cost `patience` nodes.
+        # finds the subtree has cost `patience` nodes.  The root's own
+        # enumeration gets the group after as many nodes as the instance
+        # has support pairs, about what `twin_partition` costs, or at the
+        # first backtrack.
         start = nodes.count
         nodes.step()
-        seqs = _enumerate_cycles(s0, terminals, succ, pred, last, nodes)
+        seqs = _enumerate_cycles(s0, terminals, succ, pred, last, nodes,
+                                 None if last else root_group, len(capacity))
         if last is not None and all(residual[p] > 0 for p in cycle_pairs(last)):
             seqs = chain((last,), seqs)
         if tight:
@@ -726,14 +798,14 @@ def _decide(instance, terminals, target, nodes, deepest):
                 if part is None:
                     # The search's first backtrack checks the cut on the
                     # root's reduced instance and builds the root's twin
-                    # partition; a node gets it stabilised by every cycle
-                    # taken so far.
-                    if group is None:
+                    # partition, unless the root's enumeration has; a node
+                    # gets it stabilised by every cycle taken so far.
+                    if root_cut:
+                        root_cut = False
                         if _cut_bound(*support, capacity, terminals,
                                       target) < target:
                             return None
-                        group = _twin_group(*support, capacity, terminals, s0)
-                    part = group
+                    part = root_group()
                     for taken in cur:
                         part = _stabiliser(part, taken)
                     frame[3] = part
@@ -761,15 +833,23 @@ def _decide(instance, terminals, target, nodes, deepest):
     return None
 
 
-def _ladder(d: MultiDigraph, terminals, nodes):
+def _ladder(d: MultiDigraph, terminals, nodes, beat=None):
     """(packing, certified) for a validated terminal set: the ladder of
     decisions in the module docstring, counting on `nodes`.  When the
     budget runs out the packing is the deepest any rung held, and
-    certified is False."""
+    certified is False.
+
+    With `beat` given and below the degree bound, one decision at beat
+    comes first.  A yes returns None, since the set's value is at least
+    beat; after a no the ladder runs in full, from the degree bound."""
     instance, chains, bound = _reduced(d, terminals)
     deepest = []
     certified = True
     try:
+        if beat is not None and beat < bound:
+            if _decide(instance, terminals, beat, nodes, deepest):
+                return None
+            deepest = []
         if bound and not _decide(instance, terminals, bound, nodes, deepest):
             for t in range(len(deepest) + 1, bound):
                 if not _decide(instance, terminals, t, nodes, deepest):
@@ -868,16 +948,23 @@ def min_packing_number(d: MultiDigraph, k: int,
     orbit.  The colex-first set attaining the minimum is therefore always
     solved, and without a node budget `value`, `witness_set`, `witness` and
     `certified` are those of the scan over every k-subset; only `nodes` can
-    be smaller.  The sets solved share one node counter; the scan stops,
-    uncertified, at the first set the budget cuts short, and that set's
-    lower bound counts towards the minimum.
+    be smaller.  A set after the first can only lower the minimum so far,
+    m, if its value is below m, so it is decided at m first and skipped on
+    a yes; on a no its ladder runs in full.  A tie keeps the earlier set,
+    as the scan does.  The sets solved share one node counter; the scan
+    stops, uncertified, at the first set the budget cuts short, and the
+    packing that set's search held counts towards the minimum.
     """
     check_budget(node_budget)
     k = checked_int(k, "k", 2, d.vertex_count)
     nodes = Nodes(node_budget)
     witness = None
     for subset in _orbit_representatives(d, k):
-        packing, certified = _ladder(d, frozenset(subset), nodes)
+        beat = None if witness is None else len(witness)
+        found = _ladder(d, frozenset(subset), nodes, beat)
+        if found is None:
+            continue
+        packing, certified = found
         if witness is None or len(packing) < len(witness):
             witness = packing
         if not certified or not packing:

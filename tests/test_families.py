@@ -304,7 +304,7 @@ def test_decomposition_construction_is_checked(monkeypatch):
 
 def test_decomposition_even_complete_refuted():
     # The packing search refutes both exceptions; its tree is pinned exactly.
-    for n, nodes in ((4, 18), (6, 589)):
+    for n, nodes in ((4, 13), (6, 524)):
         res = hamiltonian_decomposition(make_family(f"complete:{n}"))
         assert res.status == "exhausted"
         assert res.certificate is None

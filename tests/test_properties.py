@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from helpers import multiset_max_packing
 from steinercycles import packing
 from steinercycles.digraph import twin_partition
-from steinercycles.packing import _capped_flow, _cut_bound, _flatten_via, \
-    _reduce_instance
+from steinercycles.packing import _capped_flow, _cut_bound, \
+    _enumerate_cycles, _flatten_via, _orbit_key, _reduce_instance, _twin_group
+from steinercycles.search import Nodes
 from steinercycles import (
     build_digraph,
     canonical_cycle,
@@ -250,6 +251,28 @@ def test_tight_decision_matches_multiset_reference(instance):
     if dec.exists:
         assert verify_packing(dec.packing) and len(dec.packing) == bound
         assert {seq[0] for seq in dec.packing.cycles} == {min(terminals)}
+
+
+@given(_twinned_instances(), st.integers(0, 300))
+@example((make_family("complete:5"), frozenset(range(3))), 7)
+def test_root_enumerator_yields_exactly_the_orbit_keys(instance, drawn):
+    # Wherever the group arrives, at node 0, at node 1, at a drawn node or
+    # (past the end of a short listing) at the first resume, the root's
+    # enumeration yields the plain listing's orbit keys, in order, and
+    # costs no more nodes than the plain listing.
+    d, terminals = instance
+    capacity, _, succ, pred = _reduce_instance(d, terminals)
+    s0 = min(terminals)
+    part = _twin_group(succ, pred, capacity, terminals, s0)
+    plain = Nodes(None)
+    listing = list(_enumerate_cycles(s0, terminals, succ, pred, None, plain))
+    keys = [c for c in listing if _orbit_key(c, part) == c]
+    for due in (0, 1, drawn):
+        nodes = Nodes(None)
+        got = list(_enumerate_cycles(s0, terminals, succ, pred, None, nodes,
+                                     lambda: part, due))
+        assert got == keys, due
+        assert nodes.count <= plain.count, due
 
 
 @given(_twinned_instances(), st.integers(0, 200))
