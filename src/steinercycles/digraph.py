@@ -1,4 +1,4 @@
-"""Multidigraph core: construction, structural predicates, subdivision, text I/O.
+"""Multidigraph core: construction, predicates, subdivision, max-flow, text I/O.
 
 The one checked door for outside input: `build_digraph` and `build_graph`
 check a vertex count and its arcs in one pass, and `checked_int` and
@@ -21,7 +21,7 @@ returns a verdict only and builds no embedding.
 from __future__ import annotations
 
 import sys
-from collections import deque
+from collections import Counter, deque
 from numbers import Integral
 
 
@@ -148,6 +148,73 @@ def bits(mask: int):
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
+
+
+def capped_flow(succ, pred, capacity, x, y, goal) -> int:
+    """min(goal, maxflow(x→y)): the maximum number of arc-disjoint x→y
+    paths, stopped at goal.
+
+    `succ` and `pred` are the masks of the pairs that carry capacity, as
+    `MultiDigraph.masks` builds them; `capacity` maps each of those pairs
+    to a positive integer, as `Counter(d.arcs)` does, and any other pair
+    to 0 or to nothing; x != y.  The masks are not changed.
+
+    The paths of one arc, x→y, and of two, x→w→y, are arc-disjoint, so
+    they start the flow.  When the pairs x→y and x→w→y present already
+    reach the goal, one path each, no capacity is read and no search is
+    needed, as in a complete digraph.  The rest comes from unit augmenting
+    paths, each found by a breadth-first search that grows one layer mask
+    at a time.  `res[u]` holds every w with residual capacity on (u, w),
+    that is capacity[(u, w)] minus the net flow on it, and `rpred[w]`
+    every such u; the path is read back from y through one vertex of each
+    earlier layer with a residual arc into the next.
+    """
+    mids = succ[x] & pred[y]
+    if (succ[x] >> y & 1) + mids.bit_count() >= goal:
+        return goal
+    res = list(succ)
+    rpred = list(pred)
+    net = Counter()
+
+    def push(u, v, c):
+        net[(u, v)] += c
+        net[(v, u)] -= c
+        if capacity.get((u, v), 0) == net[(u, v)]:
+            res[u] ^= 1 << v
+            rpred[v] ^= 1 << u
+        res[v] |= 1 << u
+        rpred[u] |= 1 << v
+
+    flow = capacity.get((x, y), 0)
+    if flow:
+        push(x, y, flow)
+    for w in bits(mids):
+        c = min(capacity[(x, w)], capacity[(w, y)])
+        push(x, w, c)
+        push(w, y, c)
+        flow += c
+    y_bit = 1 << y
+    while flow < goal:
+        layers = []
+        front = seen = 1 << x
+        while front and not seen & y_bit:
+            layers.append(front)
+            nxt = 0
+            while front:
+                low = front & -front
+                nxt |= res[low.bit_length() - 1]
+                front ^= low
+            front = nxt & ~seen
+            seen |= front
+        if not seen & y_bit:
+            return flow
+        v = y
+        for layer in reversed(layers):
+            u = (rpred[v] & layer).bit_length() - 1
+            push(u, v, 1)
+            v = u
+        flow += 1
+    return goal
 
 
 class Graph:

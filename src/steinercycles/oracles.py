@@ -1,7 +1,10 @@
 """Independent deciders for the problems the gadgets encode.
 
 These are the ground-truth side of the reduction-equivalence harness: slow
-but straightforward searches with no code shared with the packing solver.
+but straightforward searches that share none of the packing solver's
+search.  What they share with the solver is `digraph`: parsing and
+validation, the adjacency masks of `MultiDigraph.masks`, and the one
+max-flow, `digraph.capped_flow`, which the tests check against networkx.
 There is one exhaustive search, `_lex_paths`: the simple s->t paths, or
 with t = s the simple cycles through s, in lexicographic order.
 `arc_disjoint_demand_paths` places its paths one demand slot at a time
@@ -21,12 +24,12 @@ so no input is too deep for them.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict, deque
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
-from .digraph import Graph, MultiDigraph, checked_int, checked_vertices, \
-    is_symmetric, underlying_graph, validate_terminals
+from .digraph import Graph, MultiDigraph, capped_flow, checked_int, \
+    checked_vertices, is_symmetric, underlying_graph, validate_terminals
 
 
 @dataclass(frozen=True)
@@ -90,39 +93,6 @@ def _lex_paths(adj, s, t, residual=None, lower=None, through=frozenset()):
             on_path.discard(seq.pop())
 
 
-def _flow_reaches(caps: dict, s, t, need: int) -> bool:
-    """Is the s->t max flow at least `need`?  Edmonds-Karp on integer arc
-    capacities given as a (tail, head) dict, stopped once it is."""
-    residual = defaultdict(int, caps)
-    adj = defaultdict(set)
-    for (a, b) in caps:
-        adj[a].add(b)
-        adj[b].add(a)
-    flow = 0
-    while flow < need:
-        parent = {s: None}
-        queue = deque([s])
-        while queue and t not in parent:
-            x = queue.popleft()
-            for y in adj.get(x, ()):
-                if y not in parent and residual[(x, y)] > 0:
-                    parent[y] = x
-                    queue.append(y)
-        if t not in parent:
-            return False
-        steps = []
-        y = t
-        while parent[y] is not None:
-            steps.append((parent[y], y))
-            y = parent[y]
-        aug = min(residual[p] for p in steps)
-        for (a, b) in steps:
-            residual[(a, b)] -= aug
-            residual[(b, a)] += aug
-        flow += aug
-    return True
-
-
 def arc_disjoint_demand_paths(d: MultiDigraph, s1, t1, d1: int,
                               s2, t2, d2: int) -> OracleAnswer:
     """Are there d1 s1->t1 paths and d2 s2->t2 paths, all pairwise
@@ -137,7 +107,9 @@ def arc_disjoint_demand_paths(d: MultiDigraph, s1, t1, d1: int,
                                       distinct=True)
     d1, d2 = checked_int(d1, "demand", 1), checked_int(d2, "demand", 1)
     caps = Counter(d.arcs)
-    if not (_flow_reaches(caps, s1, t1, d1) and _flow_reaches(caps, s2, t2, d2)):
+    succ, pred = d.masks()
+    if (capped_flow(succ, pred, caps, s1, t1, d1) < d1
+            or capped_flow(succ, pred, caps, s2, t2, d2) < d2):
         return OracleAnswer(False, None)
     adj = _heads(d)
     residual = dict(caps)
@@ -217,10 +189,11 @@ def symmetric_two_packing_decision(d: MultiDigraph, terminals) -> bool:
                     None) is not None
     u, v = sorted(terminals)
     g = underlying_graph(d)
-    caps = {}
-    for x in range(g.vertex_count):
-        caps[(2 * x, 2 * x + 1)] = 1 if x not in (u, v) else 2
+    # x splits into 2x -> 2x + 1, an arc doubled for a terminal; an edge
+    # a-b becomes the arcs 2a + 1 -> 2b and 2b + 1 -> 2a
+    arcs = [(2 * x, 2 * x + 1) for x in range(g.vertex_count)]
+    arcs += [(2 * u, 2 * u + 1), (2 * v, 2 * v + 1)]
     for (a, b) in g.edges:
-        caps[(2 * a + 1, 2 * b)] = 1
-        caps[(2 * b + 1, 2 * a)] = 1
-    return _flow_reaches(caps, 2 * u + 1, 2 * v, 2)
+        arcs += [(2 * a + 1, 2 * b), (2 * b + 1, 2 * a)]
+    succ, pred = MultiDigraph(2 * g.vertex_count, arcs).masks()
+    return capped_flow(succ, pred, Counter(arcs), 2 * u + 1, 2 * v, 2) == 2

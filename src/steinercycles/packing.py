@@ -62,9 +62,9 @@ maxflow(x→y) of them fit.  Local arc-connectivity is transitive,
 maxflow(x→z) ≥ min(maxflow(x→y), maxflow(y→z)), so the flows between
 consecutive terminals in ascending cyclic order already give κ.  The
 terminals are those after the forced vertices above have joined, which
-every cycle of a t-packing passes.  Each flow starts from the
-arc-disjoint paths x→y and x→w→y, adds unit augmenting paths if those
-fall short, and stops at t; a t above κ is refuted.
+every cycle of a t-packing passes.  Each flow, `digraph.capped_flow`,
+starts from the arc-disjoint paths x→y and x→w→y, adds unit augmenting
+paths if those fall short, and stops at t; a t above κ is refuted.
 
 The cut is checked in two places.  On the root's reduced instance it is
 checked at the search's first backtrack: a decision settled on its first
@@ -159,8 +159,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, takewhile
 
-from .digraph import MultiDigraph, bits, checked_int, is_integer, \
-    is_symmetric, read_lines, twin_partition, validate_terminals
+from .digraph import MultiDigraph, bits, capped_flow, checked_int, \
+    is_integer, is_symmetric, read_lines, twin_partition, validate_terminals
 from .search import BudgetHit, Nodes, check_budget
 
 
@@ -613,67 +613,6 @@ def _forced_terminals(capacity, succ, pred, out_deg, in_deg, terminals, t):
     return frozenset(forced)
 
 
-def _capped_flow(succ, pred, capacity, x, y, goal) -> int:
-    """The maximum number of arc-disjoint x→y paths, stopped at goal.
-
-    The paths of one arc, x→y, and of two, x→w→y, are arc-disjoint, so
-    they start the flow.  When the pairs x→y and x→w→y present already
-    reach the goal, one path each, no capacity is read and no search is
-    needed, as in a complete digraph.  The rest comes from unit augmenting
-    paths, each found by a breadth-first search that grows one layer mask
-    at a time, as `prune_ok` does.  `res[u]` holds every w with residual
-    capacity on (u, w), that is capacity[(u, w)] minus the net flow on it,
-    and `rpred[w]` every such u; the path is read back from y through one
-    vertex of each earlier layer with a residual arc into the next.
-    """
-    mids = succ[x] & pred[y]
-    if (succ[x] >> y & 1) + mids.bit_count() >= goal:
-        return goal
-    res = list(succ)
-    rpred = list(pred)
-    net = Counter()
-
-    def push(u, v, c):
-        net[(u, v)] += c
-        net[(v, u)] -= c
-        if capacity.get((u, v), 0) == net[(u, v)]:
-            res[u] ^= 1 << v
-            rpred[v] ^= 1 << u
-        res[v] |= 1 << u
-        rpred[u] |= 1 << v
-
-    flow = capacity.get((x, y), 0)
-    if flow:
-        push(x, y, flow)
-    for w in bits(mids):
-        c = min(capacity[(x, w)], capacity[(w, y)])
-        push(x, w, c)
-        push(w, y, c)
-        flow += c
-    y_bit = 1 << y
-    while flow < goal:
-        layers = []
-        front = seen = 1 << x
-        while front and not seen & y_bit:
-            layers.append(front)
-            nxt = 0
-            while front:
-                low = front & -front
-                nxt |= res[low.bit_length() - 1]
-                front ^= low
-            front = nxt & ~seen
-            seen |= front
-        if not seen & y_bit:
-            return flow
-        v = y
-        for layer in reversed(layers):
-            u = (rpred[v] & layer).bit_length() - 1
-            push(u, v, 1)
-            v = u
-        flow += 1
-    return goal
-
-
 def _cut_bound(succ, pred, capacity, terminals, goal) -> int:
     """min(goal, κ), where κ is the least maxflow(x→y) over ordered pairs
     of terminals; see the module docstring.
@@ -683,7 +622,7 @@ def _cut_bound(succ, pred, capacity, terminals, goal) -> int:
     """
     order = sorted(terminals)
     for x, y in zip(order, order[1:] + order[:1]):
-        goal = _capped_flow(succ, pred, capacity, x, y, goal)
+        goal = capped_flow(succ, pred, capacity, x, y, goal)
     return goal
 
 

@@ -2,9 +2,11 @@ import random
 from collections import Counter
 from itertools import permutations
 
+import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from networkx.algorithms.connectivity import local_node_connectivity
 
 from steinercycles import (
     arc_disjoint_demand_paths,
@@ -89,7 +91,7 @@ def test_demand_paths_hand_cases():
     assert not arc_disjoint_demand_paths(grid, 0, 3, 2, 1, 2, 2).decision
 
 
-def test_demand_paths_use_parallel_arcs():
+def test_demand_paths_use_parallel_arcs(monkeypatch):
     # one 0 -> 2 copy cannot carry two paths; a second copy can
     single = build_digraph(4, [(0, 2), (2, 1), (2, 1), (2, 3)])
     assert not arc_disjoint_demand_paths(single, 0, 1, 2, 2, 3, 1).decision
@@ -99,6 +101,17 @@ def test_demand_paths_use_parallel_arcs():
     assert ans.decision
     first, _ = ans.witness
     assert first == ((0, 2, 1), (0, 2, 1))
+
+    # maxflow(0 -> 1) in `single` is 1 < 2, so the flow precheck refuses it
+    # in either slot order before any path is searched
+    import steinercycles.oracles as oracles_module
+
+    def _no_search(*args, **kwargs):
+        raise AssertionError("path search reached past the flow precheck")
+
+    monkeypatch.setattr(oracles_module, "_lex_paths", _no_search)
+    assert not arc_disjoint_demand_paths(single, 0, 1, 2, 2, 3, 1).decision
+    assert not arc_disjoint_demand_paths(single, 2, 3, 1, 0, 1, 2).decision
 
 
 def test_demand_paths_rejects_bad_demands():
@@ -221,6 +234,34 @@ def test_symmetric_decision_two_terminals():
     theta = build_digraph(4, [(0, 1), (1, 0), (1, 2), (2, 1),
                               (0, 3), (3, 0), (3, 2), (2, 3)])
     assert symmetric_two_packing_decision(theta, {0, 2})
+
+
+@st.composite
+def _symmetric_two_terminal_instances(draw):
+    """Simple symmetric digraphs on two to seven vertices, the bidirected
+    random graphs, connected or not, with two distinct terminals."""
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs)))
+    u, v = draw(st.permutations(range(n)))[:2]
+    return n, sorted(edges), u, v
+
+
+@given(_symmetric_two_terminal_instances())
+@example((3, [(0, 1), (0, 2), (1, 2)], 0, 1))  # K3: two routes
+@example((2, [(0, 1)], 0, 1))  # the 2-cycle: one route
+@example((3, [(0, 1), (1, 2)], 0, 2))  # the path 0-1-2: one route
+def test_symmetric_two_terminals_match_networkx_connectivity(instance):
+    # Two terminals pack two Steiner cycles exactly when the underlying
+    # graph carries two internally disjoint u-v paths, checked against
+    # networkx's local node connectivity (0 when u and v are disconnected)
+    # rather than the package's own flow.
+    n, edges, u, v = instance
+    d = build_digraph(n, [a for (x, y) in edges for a in ((x, y), (y, x))])
+    g = nx.Graph(edges)
+    g.add_nodes_from(range(n))
+    want = local_node_connectivity(g, u, v) >= 2
+    assert symmetric_two_packing_decision(d, {u, v}) == want
 
 
 def test_symmetric_decision_matches_solver():

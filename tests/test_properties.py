@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from helpers import multiset_max_packing
 from steinercycles import packing
-from steinercycles.digraph import twin_partition
-from steinercycles.packing import _capped_flow, _cut_bound, \
-    _enumerate_cycles, _flatten_via, _orbit_key, _reduce_instance, _twin_group
+from steinercycles.digraph import capped_flow, twin_partition
+from steinercycles.packing import _cut_bound, _enumerate_cycles, \
+    _flatten_via, _orbit_key, _reduce_instance, _twin_group
 from steinercycles.search import Nodes
 from steinercycles import (
     build_digraph,
@@ -337,6 +337,12 @@ def _flow_instances(draw):
                             (4, 5)]), frozenset({0, 5}), 3))
 # Two parallel arcs 0->1 but one 1->2: a single path of two arcs.
 @example((build_digraph(3, [(0, 1), (0, 1), (1, 2)]), frozenset({0, 2}), 2))
+# The symmetric oracle's vertex split of K3 with terminals 0 and 2: x
+# becomes 2x -> 2x + 1, that arc doubled for a terminal, and an edge a-b
+# the arcs 2a + 1 -> 2b and 2b + 1 -> 2a.
+@example((build_digraph(6, [(0, 1), (0, 1), (2, 3), (4, 5), (4, 5),
+                            (1, 2), (3, 0), (3, 4), (5, 2), (1, 4), (5, 0)]),
+          frozenset({1, 4}), 2))
 def test_cut_flow_matches_networkx(instance):
     # The solver's flow, uncapped and stopped at the goal, and the cut bound
     # over consecutive terminals against networkx's flows between every
@@ -350,8 +356,8 @@ def test_cut_flow_matches_networkx(instance):
     flows = {(x, y): nx.maximum_flow_value(g, x, y)
              for x in terminals for y in terminals if x != y}
     for (x, y), f in flows.items():
-        assert _capped_flow(succ, pred, capacity, x, y, len(d.arcs) + 1) == f
-        assert _capped_flow(succ, pred, capacity, x, y, goal) == min(goal, f)
+        assert capped_flow(succ, pred, capacity, x, y, len(d.arcs) + 1) == f
+        assert capped_flow(succ, pred, capacity, x, y, goal) == min(goal, f)
     assert _cut_bound(succ, pred, capacity, terminals, goal) == min(
         goal, *flows.values())
 
