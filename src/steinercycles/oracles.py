@@ -12,10 +12,11 @@ with t = s the simple cycles through s, in lexicographic order.
 search with both demands 1.  `hamiltonian_cycle` is its first cycle
 through every vertex.  `symmetric_two_packing_decision` answers whether a
 symmetric digraph packs two disjoint Steiner cycles: for two terminals
-via a polynomial vertex-capacity max-flow on the underlying graph, for
-more by its first cycle through the terminals, since the reversal of one
-cycle provides the second (bounded exhaustive search standing in for the
-polynomial algorithm cited for that case in the literature).
+by the multiplicities of their 2-cycle and a polynomial vertex-capacity
+max-flow on the underlying graph, for more by its first cycle through the
+terminals, since the reversal of one cycle provides the second (bounded
+exhaustive search standing in for the polynomial algorithm cited for that
+case in the literature).
 
 All searches scan neighbours in ascending order and return the first
 witness found, so answers are deterministic.  They keep their own stacks,
@@ -176,8 +177,12 @@ def symmetric_two_packing_decision(d: MultiDigraph, terminals) -> bool:
 
     For three or more terminals one Steiner cycle suffices (its reversal
     is a disjoint second), so existence is checked directly.  For exactly
-    two terminals u, v the answer is whether the underlying graph carries
-    two internally disjoint u-v paths, decided by a unit-vertex-capacity
+    two terminals u, v, a Steiner cycle other than the 2-cycle (u, v, u)
+    is two internally disjoint u-v paths of the underlying graph, and its
+    reversal is a disjoint second cycle.  So the answer is yes when the
+    2-cycle fits twice, both (u, v) and (v, u) having multiplicity at
+    least 2, and otherwise whether the underlying graph carries two
+    internally disjoint u-v paths, decided by a unit-vertex-capacity
     max-flow, with no cycle search at all.
     """
     if not is_symmetric(d):
@@ -188,11 +193,13 @@ def symmetric_two_packing_decision(d: MultiDigraph, terminals) -> bool:
         return next(_lex_paths(_heads(d), start, start, through=terminals),
                     None) is not None
     u, v = sorted(terminals)
+    mult = Counter(d.arcs)
+    if min(mult[(u, v)], mult[(v, u)]) >= 2:
+        return True
     g = underlying_graph(d)
-    # x splits into 2x -> 2x + 1, an arc doubled for a terminal; an edge
-    # a-b becomes the arcs 2a + 1 -> 2b and 2b + 1 -> 2a
+    # x splits into 2x -> 2x + 1; an edge a-b becomes the arcs 2a + 1 -> 2b
+    # and 2b + 1 -> 2a
     arcs = [(2 * x, 2 * x + 1) for x in range(g.vertex_count)]
-    arcs += [(2 * u, 2 * u + 1), (2 * v, 2 * v + 1)]
     for (a, b) in g.edges:
         arcs += [(2 * a + 1, 2 * b), (2 * b + 1, 2 * a)]
     succ, pred = MultiDigraph(2 * g.vertex_count, arcs).masks()

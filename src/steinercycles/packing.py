@@ -146,6 +146,20 @@ its residual support.  A step that changes the instance removes
 at least one arc instance and pushes back only the endpoints of the arcs
 it removed, so the pass takes O(n + m) steps.
 
+The minimum over k-sets, `min_packing_number`, solves one terminal set
+per orbit of the twin group, in colex order.  A Hamiltonian cycle passes
+every vertex, so it is a Steiner cycle for every terminal set: if d packs
+m arc-disjoint Hamiltonian cycles, every k-set packs m.  The complete and
+the regular complete multipartite digraphs decompose into Hamiltonian
+cycles, with few exceptions (Tillson, J. Combin. Theory B 29, 1980; Ng,
+Discrete Math. 177, 1997).  So once a second set is due and the running
+minimum m, at least 1, is at most the least semi-degree δ (the degree
+bound when every vertex is a terminal), the scan decides m with every
+vertex a terminal, once.  A yes ends the scan: no set can fall below m, and the
+earliest set holding m is the one the scan already keeps.  A no lets the
+scan go on; each k pays for that decision at most once.  While m is above
+δ the scan goes on as well, and decides at the first m that is not.
+
 All solver entry points take an optional node budget; results say whether
 they are certified (search ran to completion or hit a bound) or were cut
 short.  Terminals, sizes, k, caps and budgets that are not integers raise
@@ -160,7 +174,8 @@ from dataclasses import dataclass
 from itertools import chain, takewhile
 
 from .digraph import MultiDigraph, bits, capped_flow, checked_int, \
-    is_integer, is_symmetric, read_lines, twin_partition, validate_terminals
+    is_integer, is_symmetric, min_semi_degree, read_lines, twin_partition, \
+    validate_terminals
 from .search import BudgetHit, Nodes, check_budget
 
 
@@ -872,6 +887,15 @@ def _orbit_representatives(d: MultiDigraph, k: int):
             yield subset
 
 
+def _packs_hamiltonian(d: MultiDigraph, m: int, nodes) -> bool:
+    """Whether d packs m arc-disjoint Hamiltonian cycles, for 1 <= m <= the
+    least semi-degree: one decision with every vertex a terminal, counting
+    on `nodes`.  BudgetHit propagates."""
+    every = frozenset(range(d.vertex_count))
+    instance, _, _ = _reduced(d, every)
+    return _decide(instance, every, m, nodes, []) is not None
+
+
 def min_packing_number(d: MultiDigraph, k: int,
                        node_budget: int | None = None) -> MinPackingResult:
     """Minimum over all k-element terminal sets of the maximum packing size.
@@ -886,20 +910,41 @@ def min_packing_number(d: MultiDigraph, k: int,
     of it (its smallest members), which is the colex-first set of the
     orbit.  The colex-first set attaining the minimum is therefore always
     solved, and without a node budget `value`, `witness_set`, `witness` and
-    `certified` are those of the scan over every k-subset; only `nodes` can
-    be smaller.  A set after the first can only lower the minimum so far,
+    `certified` are those of the scan over every k-subset; only `nodes`
+    differs.  A set after the first can only lower the minimum so far,
     m, if its value is below m, so it is decided at m first and skipped on
     a yes; on a no its ladder runs in full.  A tie keeps the earlier set,
-    as the scan does.  The sets solved share one node counter; the scan
-    stops, uncertified, at the first set the budget cuts short, and the
-    packing that set's search held counts towards the minimum.
+    as the scan does.
+
+    Once a set after the first is due and m is at most the least
+    semi-degree δ, the scan decides once whether m arc-disjoint
+    Hamiltonian cycles exist, with every vertex a terminal.  They are
+    Steiner cycles for every k-set, so a yes proves no set is below m and
+    ends the scan with the result it holds: the witness is still the
+    earliest set holding m.  A no lets the scan go on unchanged, and the
+    decision's nodes are the only cost it adds.  While m is above δ the
+    scan goes on as well, and the decision waits for the first m that is
+    not.  The sets solved and the decision share one node counter; the
+    scan stops, uncertified, at the first set or decision the budget cuts
+    short, and the packing that set's search held counts towards the
+    minimum.
     """
     check_budget(node_budget)
     k = checked_int(k, "k", 2, d.vertex_count)
     nodes = Nodes(node_budget)
     witness = None
-    for subset in _orbit_representatives(d, k):
+    for i, subset in enumerate(_orbit_representatives(d, k)):
         beat = None if witness is None else len(witness)
+        if i == 1:
+            delta = min_semi_degree(d)
+        if i and beat <= delta:
+            delta = 0  # decided once: the running minimum stays above 0
+            try:
+                if _packs_hamiltonian(d, beat, nodes):
+                    break
+            except BudgetHit:
+                certified = False
+                break
         found = _ladder(d, frozenset(subset), nodes, beat)
         if found is None:
             continue

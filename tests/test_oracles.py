@@ -236,6 +236,43 @@ def test_symmetric_decision_two_terminals():
     assert symmetric_two_packing_decision(theta, {0, 2})
 
 
+def test_symmetric_decision_counts_a_doubled_2_cycle():
+    # With both arcs doubled the 2-cycle (0, 1, 0) fits twice, though the
+    # underlying graph has a single 0-1 route; the edge 1-2 adds none.
+    doubled = [(0, 1), (0, 1), (1, 0), (1, 0)]
+    for d in (build_digraph(2, doubled),
+              build_digraph(3, doubled + [(1, 2), (2, 1)])):
+        assert max_cycle_packing(d, {0, 1}).value == 2
+        assert symmetric_two_packing_decision(d, {0, 1})
+    # one arc of the pair doubled is not enough
+    once = build_digraph(2, [(0, 1), (0, 1), (1, 0)])
+    assert not symmetric_two_packing_decision(once, {0, 1})
+
+
+@st.composite
+def _symmetric_multidigraph_instances(draw):
+    """Symmetric multidigraphs on two to six vertices, with two distinct
+    terminals: each direction of a pair present gets its own multiplicity,
+    1 to 3."""
+    n = draw(st.integers(2, 6))
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                arcs += [(u, v)] * draw(st.integers(1, 3))
+                arcs += [(v, u)] * draw(st.integers(1, 3))
+    u, v = draw(st.permutations(range(n)))[:2]
+    return build_digraph(n, arcs), u, v
+
+
+@given(_symmetric_multidigraph_instances())
+def test_symmetric_two_terminals_match_solver_on_multidigraphs(instance):
+    # Parallel arcs let the 2-cycle fit twice; the solver is the reference.
+    d, u, v = instance
+    want = max_cycle_packing(d, {u, v}).value >= 2
+    assert symmetric_two_packing_decision(d, {u, v}) == want
+
+
 @st.composite
 def _symmetric_two_terminal_instances(draw):
     """Simple symmetric digraphs on two to seven vertices, the bidirected

@@ -22,7 +22,8 @@ from steinercycles import (
 )
 from steinercycles.digraph import twin_partition
 from steinercycles.families import make_family
-from steinercycles.harness import eulerian_instances, replacement_instances
+from steinercycles.harness import eulerian_instances, random_digraph, \
+    replacement_instances
 from steinercycles.packing import _colex_subsets, _enumerate_cycles, cycle_pairs
 from steinercycles.search import Nodes
 from helpers import (
@@ -318,6 +319,22 @@ def test_min_packing_number_decides_at_the_degree_bound_first():
         res = min_packing_number(make_family(spec), k)
         assert (res.value, res.certified) == (6, True), spec
         assert res.nodes <= most, (spec, res.nodes)
+
+
+def test_min_packing_number_sweep_node_total():
+    # The lambda-k tables of the benchmark's sweep: 3,128 nodes on the
+    # families and 3,520 on the random digraphs (3,983 and 6,152 before the
+    # scan ended with one decision with every vertex a terminal).
+    tables = [(make_family(spec), k_max) for spec, k_max in (
+        ("complete:5", 5), ("complete:6", 4), ("complete:7", 3),
+        ("bipartite:3,4", 7), ("bipartite:3,5", 8), ("multipartite:2x3", 6))]
+    rng = random.Random(1729)
+    for _ in range(300):
+        d = random_digraph(rng)
+        tables.append((d, d.vertex_count))
+    total = sum(min_packing_number(d, k).nodes
+                for d, k_max in tables for k in range(2, k_max + 1))
+    assert total == 6648
 
 
 def test_packing_exists_refuses_a_size_that_is_not_an_integer():
