@@ -30,27 +30,21 @@ from .packing import CyclePacking, max_cycle_packing, min_packing_number, \
     parse_witness, serialize_witness, verify_packing
 
 
-def _parse_terminal_set(text: str) -> list:
-    """Comma-separated vertex list; empty items and duplicates rejected,
-    result sorted."""
+def _parse_terminals(text: str, roles: bool = False) -> list:
+    """Comma-separated vertex list: a terminal set, duplicates rejected and
+    result sorted, or with `roles` the ordered s1,t1,s2,t2."""
     try:
         values = [int(p) for p in text.split(",")]
     except ValueError:
-        raise ValueError(f"bad terminal list {text!r}") from None
+        what = "roles" if roles else "list"
+        raise ValueError(f"bad terminal {what} {text!r}") from None
+    if roles:
+        if len(values) != 4:
+            raise ValueError(f"expected exactly s1,t1,s2,t2, got {text!r}")
+        return values
     if len(set(values)) != len(values):
         raise ValueError(f"duplicate terminal in {text!r}")
     return sorted(values)
-
-
-def _parse_terminal_roles(text: str) -> tuple:
-    """Comma-separated s1,t1,s2,t2 (order is meaningful)."""
-    try:
-        values = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"bad terminal roles {text!r}") from None
-    if len(values) != 4:
-        raise ValueError(f"expected exactly s1,t1,s2,t2, got {text!r}")
-    return values
 
 
 def _read(path: str) -> str:
@@ -63,7 +57,7 @@ def _note(message: str) -> None:
 
 def _cmd_solve(args) -> int:
     d = parse_digraph(_read(args.graph))
-    res = max_cycle_packing(d, _parse_terminal_set(args.S),
+    res = max_cycle_packing(d, _parse_terminals(args.S),
                             node_budget=args.budget)
     sys.stdout.write(serialize_witness(res.value, res.packing.cycles))
     if not res.certified:
@@ -102,7 +96,7 @@ def _cmd_gadget(args) -> int:
     elif args.kind == "eulerian":
         if args.terminals is None:
             raise ValueError("gadget eulerian needs --terminals s1,t1,s2,t2")
-        s1, t1, s2, t2 = _parse_terminal_roles(args.terminals)
+        s1, t1, s2, t2 = _parse_terminals(args.terminals, roles=True)
         out = eulerian_gadget(LinkageInstance(d, s1, t1, s2, t2),
                               args.k if args.k is not None else 3)
     else:
@@ -110,7 +104,7 @@ def _cmd_gadget(args) -> int:
             raise ValueError("gadget planar needs --terminals s1,t1,s2,t2")
         if args.d1 is None or args.d2 is None:
             raise ValueError("gadget planar needs --d1 and --d2")
-        s1, t1, s2, t2 = _parse_terminal_roles(args.terminals)
+        s1, t1, s2, t2 = _parse_terminals(args.terminals, roles=True)
         out = planar_gadget(LinkageInstance(d, s1, t1, s2, t2, args.d1, args.d2),
                             args.k if args.k is not None else 2)
     sys.stdout.write(serialize_gadget(out))
@@ -146,7 +140,7 @@ def _cmd_flow_decompose(args) -> int:
 def _cmd_verify(args) -> int:
     d = parse_digraph(_read(args.graph))
     value, cycles = parse_witness(_read(args.witness))
-    terminals = validate_terminals(d, _parse_terminal_set(args.S))
+    terminals = validate_terminals(d, _parse_terminals(args.S))
     if value != len(cycles):
         print(f"invalid: witness claims {value} cycles but lists {len(cycles)}")
         return 1

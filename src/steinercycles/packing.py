@@ -86,8 +86,8 @@ The search branches on one cycle per orbit (orbital branching: Ostrowski,
 Linderoth, Rossi and Smriglio, Math. Programming 126, 2011).  The group
 is the twin group of the reduced instance: the permutations within classes
 of twins (vertices whose swap preserves every capacity), split into
-terminals and non-terminals, that fix s0, the smallest terminal.  A child's
-classes are its parent's minus the vertices of the cycle it took (the
+terminals and non-terminals, that fix s0, the smallest terminal.  A node's
+classes are the root's minus the vertices of the cycles taken so far (the
 pointwise stabiliser), so a node's group G fixes every cycle taken so far
 and preserves the residual capacities.  Two cycles share an orbit when
 relabelling each class's vertices in order of first appearance gives the
@@ -96,8 +96,8 @@ it took again if capacity allows, then greater ones) and branches on the
 first cycle of each orbit, r_1, r_2, ...; it skips a cycle in the orbit of
 an earlier branch here, or in an orbit forbidden at an ancestor.  Child i
 takes r_i and forbids the orbits of r_1, ..., r_{i-1}.  The group prunes
-nothing before a node's second candidate, so a node below the root builds
-it only then.
+nothing before a node's second candidate, so every node builds its classes
+only then, at its first backtrack, from the root's.
 
 Soundness: take any packing the node allows and let i be the least index
 whose orbit it meets.  Some g in G maps a cycle of it in that orbit onto
@@ -122,17 +122,19 @@ path or that have none, and a child's mask adds the next member of the
 vertex it took, so the skip costs no test per candidate.  The skip drops
 only prefixes that begin no key, so it is sound from any point of the
 enumeration on, and every node it drops the plain enumeration visits.  The
-root builds its group lazily: once its enumeration has cost as many nodes
-as the instance has support pairs, about what `twin_partition` costs, or
-at the search's first backtrack, and it then re-masks every open frame.  A
-search settled on its first descent within that many root nodes never
-builds the group.  The skip pays most on the replacement gadget, whose two
-channels of an edge are twins: where the source graph has no Hamiltonian
-cycle the root finds no cycle and never backtracks, and without the skip
-its enumeration meets each path of the source graph once per choice of
-channels.  Below the root the enumerators do not skip: the lower bound
-`last` can exclude an orbit's key while it admits other members of the
-orbit.
+root's enumerator takes the group once it has cost as many nodes as the
+instance has support pairs, about what `twin_partition` costs, and then
+re-masks every open frame.  Until then, and below the path open then, it
+yields the plain listing; the root skips each cycle there that is no key,
+since its key came first.  The group is built then, or at the search's
+first backtrack if that comes first, so a search settled on its first
+descent within that many root nodes never builds it.  The skip pays most
+on the replacement gadget, whose two channels of an edge are twins: where
+the source graph has no Hamiltonian cycle the root finds no cycle and
+never backtracks, and without the skip its enumeration meets each path of
+the source graph once per choice of channels.  Below the root the
+enumerators do not skip: the lower bound `last` can exclude an orbit's key
+while it admits other members of the orbit.
 
 Before searching, the instance is reduced: non-terminal vertices that miss
 incoming or outgoing arcs are deleted, and non-terminal vertices with
@@ -367,11 +369,9 @@ def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes,
 
     At the root of a decision, `group` returns the twin partition of the
     root's group (see `_twin_group`).  It is called at the first frame
-    pushed or popped once the enumeration has cost `due` nodes, or when
-    the enumerator is first resumed after a yield, whichever comes first.
-    From then on only orbit keys are yielded, the cycles c with
-    `_orbit_key(c, part) == c`; before then at most the first cycle was,
-    and it is one.
+    pushed or popped once the enumeration has cost `due` nodes.  Until
+    then the plain listing's cycles are yielded; from then on only its
+    orbit keys, the cycles c with `_orbit_key(c, part) == c`.
     """
     s0_bit = 1 << s0
     term_mask = sum(1 << s for s in terminals)
@@ -469,11 +469,6 @@ def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes,
                 # to `lower` or a proper prefix of it, never greater.
                 if len(seq) >= 2 and not term_mask & ~path and w != lo:
                     yield tuple(seq) + (s0,)
-                    if group:
-                        # resumed: the caller's search has backtracked
-                        frame[0] = heads
-                        due = 0
-                        break
             elif not low & path:
                 seq.append(w)
                 if enter(path | low, w == lo, free | mates[w]):
@@ -579,13 +574,14 @@ def _orbit_key(seq, part) -> tuple:
     return tuple(key)
 
 
-def _stabiliser(part, seq) -> dict:
-    """The partition of the subgroup fixing every vertex of seq."""
-    if not any(v in part for v in seq):
+def _stabiliser(part, cycles) -> dict:
+    """The partition of the subgroup fixing every vertex of the cycles."""
+    fixed = set(chain.from_iterable(cycles))
+    if fixed.isdisjoint(part):
         return part
     out = {}
     for cls in set(part.values()):
-        rest = tuple(v for v in cls if v not in seq)
+        rest = tuple(v for v in cls if v not in fixed)
         if len(rest) > 1:
             for v in rest:
                 out[v] = rest
@@ -704,19 +700,14 @@ def _decide(instance, terminals, target, nodes, deepest):
                 pred[v] |= 1 << u
             residual[(u, v)] += 1
 
-    def enter(last, part, forbidden):
-        # The frame of a node that took `last`.  `part` is the twin
-        # partition of the node's group.  A group only prunes from a node's
-        # second candidate on, so on the path of first children from the
-        # root it stays None until a node there needs it, and a search
-        # settled on that path never computes it.  `forbidden` holds
+    def enter(last, forbidden):
+        # The frame of a node that took `last`.  `forbidden` holds
         # (partition, orbit keys) of every ancestor whose group was
         # nontrivial: the orbits its earlier children branched on.  Below
         # the root, the residual cut is checked at the first backtrack that
         # finds the subtree has cost `patience` nodes.  The root's own
         # enumeration gets the group after as many nodes as the instance
-        # has support pairs, about what `twin_partition` costs, or at the
-        # first backtrack.
+        # has support pairs, about what `twin_partition` costs.
         start = nodes.count
         nodes.step()
         seqs = _enumerate_cycles(s0, terminals, succ, pred, last, nodes,
@@ -726,13 +717,14 @@ def _decide(instance, terminals, target, nodes, deepest):
         if tight:
             first = succ[s0] & -succ[s0]
             seqs = takewhile(lambda seq: 1 << seq[1] == first, seqs)
-        # candidates, start, cut due, part, forbidden, branched, below and
-        # the orbit key of the child being searched
-        return [seqs, start, bool(cur), part, forbidden, None, forbidden, None]
+        # candidates, start, cut due, the twin partition of the node's
+        # group (None until its first backtrack), forbidden, branched,
+        # below and the orbit key of the child being searched
+        return [seqs, start, bool(cur), None, forbidden, None, forbidden, None]
 
     # One frame per node; the node at depth i has a child in search while
     # cur holds more than i cycles.
-    stack = [enter(None, None, [])]
+    stack = [enter(None, [])]
     while stack:
         frame = stack[-1]
         seqs, start, cut_due, part, forbidden, branched, below, key = frame
@@ -748,26 +740,24 @@ def _decide(instance, terminals, target, nodes, deepest):
                     continue
             if branched is not None:
                 branched.add(key)
-            else:
-                if part is None:
-                    # The search's first backtrack checks the cut on the
-                    # root's reduced instance and builds the root's twin
-                    # partition, unless the root's enumeration has; a node
-                    # gets it stabilised by every cycle taken so far.
-                    if root_cut:
-                        root_cut = False
-                        if _cut_bound(*support, capacity, terminals,
-                                      target) < target:
-                            return None
-                    part = root_group()
-                    for taken in cur:
-                        part = _stabiliser(part, taken)
-                    frame[3] = part
+            elif part is None:
+                # A group prunes nothing before a node's second candidate,
+                # so a node builds its partition here, at its first
+                # backtrack: the root's, stabilised by every cycle taken
+                # so far.  A search settled on its first descent never
+                # builds one.  The search's first backtrack also checks
+                # the cut on the root's reduced instance.
+                if root_cut:
+                    root_cut = False
+                    if _cut_bound(*support, capacity, terminals,
+                                  target) < target:
+                        return None
+                part = frame[3] = _stabiliser(root_group(), cur)
                 if part:
                     branched = frame[5] = {_orbit_key(seq, part)}
                     below = frame[6] = forbidden + [(part, branched)]
         for seq in seqs:
-            if forbidden and any(keys and _orbit_key(seq, p) in keys
+            if forbidden and any(_orbit_key(seq, p) in keys
                                  for p, keys in forbidden):
                 continue
             if branched is not None:
@@ -778,7 +768,7 @@ def _decide(instance, terminals, target, nodes, deepest):
             cur.append(seq)
             if len(cur) > len(deepest):
                 deepest[:] = cur
-            stack.append(enter(seq, part and _stabiliser(part, seq), below))
+            stack.append(enter(seq, below))
             if len(cur) == target:
                 return cur
             break
@@ -814,6 +804,18 @@ def _ladder(d: MultiDigraph, terminals, nodes, beat=None):
     return packing, certified
 
 
+def _decision(d: MultiDigraph, terminals, size, nodes):
+    """`size` arc-disjoint Steiner cycles of d for a validated terminal set,
+    as a CyclePacking, or None when none exist: one decision on the reduced
+    instance, counting on `nodes`.  BudgetHit propagates."""
+    instance, chains, bound = _reduced(d, terminals)
+    seqs = (_decide(instance, terminals, size, nodes, [])
+            if size <= bound else None)
+    if seqs is None:
+        return None
+    return CyclePacking(d, terminals, _expand_witness(seqs, chains))
+
+
 def max_cycle_packing(d: MultiDigraph, terminals,
                       node_budget: int | None = None) -> PackingResult:
     """Maximum number of pairwise arc-disjoint Steiner cycles, with witness.
@@ -841,17 +843,12 @@ def packing_exists(d: MultiDigraph, terminals, size: int,
     check_budget(node_budget)
     size = checked_int(size, "size", 1)
     terminals = validate_terminals(d, terminals)
-    instance, chains, bound = _reduced(d, terminals)
     nodes = Nodes(node_budget)
     try:
-        seqs = (_decide(instance, terminals, size, nodes, [])
-                if size <= bound else None)
+        packing = _decision(d, terminals, size, nodes)
     except BudgetHit:
         return ExistenceResult(False, False, None, nodes.count)
-    if seqs is None:
-        return ExistenceResult(False, True, None, nodes.count)
-    packing = CyclePacking(d, terminals, _expand_witness(seqs, chains))
-    return ExistenceResult(True, True, packing, nodes.count)
+    return ExistenceResult(packing is not None, True, packing, nodes.count)
 
 
 def _colex_subsets(n: int, k: int):
@@ -885,15 +882,6 @@ def _orbit_representatives(d: MultiDigraph, k: int):
                     for i in range(1, len(c))}
         if all(v not in prev or prev[v] in subset for v in subset):
             yield subset
-
-
-def _packs_hamiltonian(d: MultiDigraph, m: int, nodes) -> bool:
-    """Whether d packs m arc-disjoint Hamiltonian cycles, for 1 <= m <= the
-    least semi-degree: one decision with every vertex a terminal, counting
-    on `nodes`.  BudgetHit propagates."""
-    every = frozenset(range(d.vertex_count))
-    instance, _, _ = _reduced(d, every)
-    return _decide(instance, every, m, nodes, []) is not None
 
 
 def min_packing_number(d: MultiDigraph, k: int,
@@ -940,7 +928,8 @@ def min_packing_number(d: MultiDigraph, k: int,
         if i and beat <= delta:
             delta = 0  # decided once: the running minimum stays above 0
             try:
-                if _packs_hamiltonian(d, beat, nodes):
+                if _decision(d, frozenset(range(d.vertex_count)), beat,
+                             nodes):
                     break
             except BudgetHit:
                 certified = False

@@ -224,6 +224,20 @@ def test_gadget_eulerian(tmp_path, capsys):
     assert any(ln.startswith("role ") and ln.endswith("x_1") for ln in lines)
 
 
+@pytest.mark.parametrize("terminals, message", [
+    ("0,1,,3", "bad terminal roles"), ("0,1,2", "expected exactly s1,t1,s2,t2"),
+    ("0,1,2,3,0", "expected exactly s1,t1,s2,t2")])
+def test_gadget_refuses_bad_terminal_roles(terminals, message, tmp_path,
+                                           capsys):
+    path = tmp_path / "two-arcs.digraph"
+    path.write_text("n 4\na 0 1\na 2 3\n")
+    assert main(["gadget", "eulerian", "--graph", str(path),
+                 "--terminals", terminals]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_gadget_planar_needs_demands(tmp_path, capsys):
     path = tmp_path / "grid.digraph"
     path.write_text("n 4\na 0 1\na 1 3\na 0 2\na 2 3\n")

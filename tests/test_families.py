@@ -330,10 +330,13 @@ def test_decomposition_even_complete_refuted():
 
 
 def test_decomposition_multipartite():
-    res = hamiltonian_decomposition(make_family("multipartite:2x3"))
-    assert res.status == "decomposed"
-    assert len(res.certificate.cycles) == 4
-    assert res.certificate.is_valid()
+    for spec, cycles, nodes in (("multipartite:2x3", 4, 33),
+                                ("multipartite:3x5", 12, 14573),
+                                ("multipartite:2x7", 12, 11505)):
+        res = hamiltonian_decomposition(make_family(spec))
+        assert (res.status, res.nodes) == ("decomposed", nodes), spec
+        assert len(res.certificate.cycles) == cycles, spec
+        assert res.certificate.is_valid(), spec
 
 
 def test_decomposition_rejects_irregular_quickly():

@@ -13,6 +13,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -44,6 +45,7 @@ _TEXT = st.one_of(
              max_size=12).map("\n".join))
 
 
+@pytest.mark.deep
 @given(_TEXT)
 def test_parsers_return_or_raise_value_error(text):
     for parse in (parse_digraph, parse_witness, parse_network):
@@ -65,6 +67,7 @@ def _plain(values, below):
     return all(type(v) is int and 0 <= v < below for v in values)
 
 
+@pytest.mark.deep
 @given(_COUNTS, _PAIRS, _PAIRS, st.data())
 def test_builders_return_plain_ints_or_raise_value_error(count, arcs, edges,
                                                          data):

@@ -199,6 +199,7 @@ def _graphs(draw):
     return build_graph(n, edges)
 
 
+@pytest.mark.deep
 @given(_linkage_instances(), _graphs())
 def test_witnesses_are_the_lexicographically_first(instance, g):
     # Both oracles return the first witness in lexicographic order, found
@@ -265,6 +266,7 @@ def _symmetric_multidigraph_instances(draw):
     return build_digraph(n, arcs), u, v
 
 
+@pytest.mark.deep
 @given(_symmetric_multidigraph_instances())
 def test_symmetric_two_terminals_match_solver_on_multidigraphs(instance):
     # Parallel arcs let the 2-cycle fit twice; the solver is the reference.
@@ -284,6 +286,7 @@ def _symmetric_two_terminal_instances(draw):
     return n, sorted(edges), u, v
 
 
+@pytest.mark.deep
 @given(_symmetric_two_terminal_instances())
 @example((3, [(0, 1), (0, 2), (1, 2)], 0, 1))  # K3: two routes
 @example((2, [(0, 1)], 0, 1))  # the 2-cycle: one route

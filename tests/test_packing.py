@@ -22,8 +22,8 @@ from steinercycles import (
 )
 from steinercycles.digraph import twin_partition
 from steinercycles.families import make_family
-from steinercycles.harness import eulerian_instances, random_digraph, \
-    replacement_instances
+from steinercycles.harness import eulerian_instances, planar_instances, \
+    random_digraph, replacement_instances, symmetric_instances
 from steinercycles.packing import _colex_subsets, _enumerate_cycles, cycle_pairs
 from steinercycles.search import Nodes
 from helpers import (
@@ -296,19 +296,35 @@ def test_residual_cut_refutes_the_costliest_eulerian_gadgets():
         assert no.nodes <= most, (iid, no.nodes)
 
 
-def test_root_skips_twin_paths_on_the_replacement_corpus():
-    # The two channel vertices of an edge of the replacement gadget are
-    # twins, so a root enumeration that walked every path would meet each
-    # Hamiltonian path of the source graph once per choice of channels.
-    # The root skips the paths that begin no orbit key; the 200 gadgets of
-    # the acceptance corpus cost 10,197 nodes in all (19,852 without the
-    # skip), and a skip that silently stops firing shows up here.
-    total = 0
-    for _, _, _, g in replacement_instances(200, 1729):
-        res = packing_exists(g.digraph, g.terminals, g.threshold)
+def _corpus_decisions(family, count):
+    # (host, terminals, size) of each decision of a harness corpus
+    if family == "symmetric":
+        return [(d, terms, 2)
+                for _, d, terms in symmetric_instances(count, 1729)]
+    instances = {"replacement": replacement_instances,
+                 "eulerian": eulerian_instances,
+                 "planar": planar_instances}[family]
+    return [(g.digraph, g.terminals, g.threshold)
+            for *_, g in instances(count, 1729)]
+
+
+@pytest.mark.parametrize("family, count, total", [
+    ("replacement", 200, 10197), ("eulerian", 100, 9433),
+    ("planar", 50, 2248), ("symmetric", 100, 573)],
+    ids=["replacement", "eulerian", "planar", "symmetric"])
+def test_corpus_node_totals(family, count, total):
+    # The decisions of the benchmark's corpus workload, 22,451 nodes in all,
+    # so a rule that silently stops firing shows up here.  The two channel
+    # vertices of an edge of the replacement gadget are twins, so a root
+    # enumeration that walked every path would meet each Hamiltonian path
+    # of the source graph once per choice of channels: the root's skip of
+    # twin paths takes replacement from 19,852 nodes to 10,197.
+    nodes = 0
+    for d, terminals, size in _corpus_decisions(family, count):
+        res = packing_exists(d, terminals, size)
         assert res.certified
-        total += res.nodes
-    assert total == 10197
+        nodes += res.nodes
+    assert nodes == total
 
 
 def test_min_packing_number_decides_at_the_degree_bound_first():

@@ -7,6 +7,7 @@ from itertools import combinations, combinations_with_replacement, \
 from unittest.mock import patch
 
 import networkx as nx
+import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -175,6 +176,7 @@ def _swap_preserves_arcs(d, r, v):
     return Counter((image(a), image(b)) for (a, b) in d.arcs) == Counter(d.arcs)
 
 
+@pytest.mark.deep
 @given(_twinned_multidigraphs())
 def test_twin_classes_are_exactly_the_swappable_pairs(d):
     classes = twin_partition(*d.masks(), Counter(d.arcs))
@@ -185,6 +187,7 @@ def test_twin_classes_are_exactly_the_swappable_pairs(d):
         assert _swap_preserves_arcs(d, r, v) == (cls[r] is cls[v]), (r, v)
 
 
+@pytest.mark.deep
 @given(_twinned_multidigraphs(), st.integers(2, 6))
 def test_min_packing_number_matches_scan_of_every_subset(d, k):
     assume(k <= d.vertex_count)
@@ -214,6 +217,7 @@ def _twinned_instances(draw):
     return d, frozenset(terminals)
 
 
+@pytest.mark.deep
 @given(_twinned_instances())
 # K5 packs four cycles through four or five terminals.  With four, the
 # search finds them only if each child's group fixes the vertices of the
@@ -237,6 +241,7 @@ def test_orbital_search_matches_multiset_reference(instance):
             assert verify_packing(dec.packing) and len(dec.packing) == size
 
 
+@pytest.mark.deep
 @given(_twinned_instances())
 # Targets at the degree bound switch on the forced first arc and, in K5,
 # force every non-terminal into the terminal set, vertex 0 below s0 too.
@@ -260,28 +265,61 @@ def test_tight_decision_matches_multiset_reference(instance):
         assert {seq[0] for seq in dec.packing.cycles} == {min(terminals)}
 
 
+def _off_key_prefix(seq, part):
+    # The shortest prefix of seq that adds a vertex while a smaller member of
+    # its class is off the prefix, so begins no orbit key; None for a key.
+    for i, v in enumerate(seq):
+        cls = part.get(v, (v,))
+        j = cls.index(v)
+        if j and cls[j - 1] not in seq[:i]:
+            return seq[:i + 1]
+    return None
+
+
+@pytest.mark.deep
 @given(_twinned_instances(), st.integers(0, 300))
 @example((make_family("complete:5"), frozenset(range(3))), 7)
 def test_root_enumerator_yields_exactly_the_orbit_keys(instance, drawn):
     # Wherever the group arrives, at node 0, at node 1, at a drawn node or
-    # (past the end of a short listing) at the first resume, the root's
-    # enumeration yields the plain listing's orbit keys, in order, and
-    # costs no more nodes than the plain listing.
+    # (past the end of a short listing) never, the root's enumeration
+    # yields the plain listing's cycles in order: all of them before the
+    # arrival, every orbit key after it, and no other cycle but those
+    # extending the one path open at the arrival.  It costs no more nodes
+    # than the plain listing.
     d, terminals = instance
     capacity, _, succ, pred = _reduce_instance(d, terminals)
     s0 = min(terminals)
     part = _twin_group(succ, pred, capacity, terminals, s0)
     plain = Nodes(None)
     listing = list(_enumerate_cycles(s0, terminals, succ, pred, None, plain))
-    keys = [c for c in listing if _orbit_key(c, part) == c]
+    keys = {c for c in listing if _orbit_key(c, part) == c}
+    assert keys == {c for c in listing if _off_key_prefix(c, part) is None}
     for due in (0, 1, drawn):
         nodes = Nodes(None)
-        got = list(_enumerate_cycles(s0, terminals, succ, pred, None, nodes,
-                                     lambda: part, due))
-        assert got == keys, due
+        got = []
+        arrived = []  # how many cycles were yielded when the group arrived
+
+        def group():
+            arrived.append(len(got))
+            return part
+
+        for seq in _enumerate_cycles(s0, terminals, succ, pred, None, nodes,
+                                     group, due):
+            got.append(seq)
+        assert len(arrived) <= 1, due
+        if due > plain.count:
+            assert not arrived, due
+        a = arrived[0] if arrived else len(listing)
+        assert got[:a] == listing[:a], due
+        yielded = set(got)
+        assert got == [c for c in listing if c in yielded], due
+        assert keys <= yielded, due
+        off = [p for p in (_off_key_prefix(c, part) for c in got[a:]) if p]
+        assert all(p == max(off, key=len)[:len(p)] for p in off), due
         assert nodes.count <= plain.count, due
 
 
+@pytest.mark.deep
 @given(_twinned_instances(), st.integers(0, 200))
 @example((make_family("complete:5"), frozenset(range(4))), 20)
 def test_budgeted_max_is_a_verified_lower_bound(instance, budget):
@@ -305,6 +343,7 @@ def _twinned_sizes(draw):
     return d, draw(st.integers(2, d.vertex_count))
 
 
+@pytest.mark.deep
 @given(_twinned_sizes(), st.integers(0, 200))
 @example((make_family("complete:4"), 2), 0)
 def test_budgeted_min_is_a_verified_witness(instance, budget):
@@ -336,6 +375,7 @@ def _flow_instances(draw):
     return d, frozenset(terminals), draw(st.integers(0, 8))
 
 
+@pytest.mark.deep
 @given(_flow_instances())
 # The shortest path 0-1-3-5 blocks 0-2-3, so the second unit of flow must
 # cancel the flow on 1->3; no arc leaves 5, so only the wrap-around pair
@@ -404,6 +444,7 @@ def _bottleneck_instances(draw):
     return build_digraph(n, arcs), frozenset(terminals)
 
 
+@pytest.mark.deep
 @given(_bottleneck_instances())
 # At three cycles a first cycle 0 1 4 2 5 .. crosses the cut more than once
 # each way, and the residual cut, 1 below the two cycles still needed,
@@ -453,6 +494,7 @@ def _reducible_instances(draw):
     return build_digraph(n, arcs), frozenset(terminals)
 
 
+@pytest.mark.deep
 @given(_reducible_instances())
 def test_reduction_keeps_exactly_the_steiner_cycles(instance):
     d, terminals = instance
@@ -507,6 +549,7 @@ def _regular_multidigraphs(draw):
     return build_digraph(n, draw(st.permutations(arcs))), r
 
 
+@pytest.mark.deep
 @given(_regular_multidigraphs())
 @example((make_family("complete:4"), 3))
 # decomposes only after backtracking past a closed first cycle
