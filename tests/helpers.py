@@ -31,6 +31,58 @@ def brute_steiner_cycles(d, terminals):
     return sorted(found)
 
 
+def pruned_cycle_listing(n, arcs, terminals, lower=None):
+    """(cycles, nodes) of a plain depth-first listing of the Steiner cycles
+    over the ordered pairs `arcs`, anchored at s0, the smallest terminal,
+    above `lower`, in lexicographic order.
+
+    The search extends a path from s0 by each successor in ascending order;
+    entering a vertex is one node.  It prunes the path at v unless v or a
+    vertex reached from v through vertices off the path has an arc to s0,
+    every terminal off the path is so reached, and each of them reaches s0
+    through vertices off the path."""
+    s0 = min(terminals)
+    out = {v: sorted({w for (u, w) in arcs if u == v}) for v in range(n)}
+    into = {v: {u for (u, w) in arcs if w == v} for v in range(n)}
+
+    def closure(start, adj, off):
+        seen = set(start) & off
+        todo = list(seen)
+        while todo:
+            for x in adj[todo.pop()]:
+                if x in off and x not in seen:
+                    seen.add(x)
+                    todo.append(x)
+        return seen
+
+    cycles = []
+    nodes = 0
+
+    def visit(path):
+        nonlocal nodes
+        nodes += 1
+        v = path[-1]
+        off = set(range(n)) - set(path)
+        missing = set(terminals) - set(path)
+        ahead = closure(out[v], out, off)
+        if not any(s0 in out[x] for x in ahead | {v}) or not missing <= ahead:
+            return
+        if not missing <= closure(into[s0], into, off):
+            return
+        for w in out[v]:
+            seq = tuple(path) + (w,)
+            if lower is not None and seq < lower[:len(seq)]:
+                continue
+            if w == s0:
+                if len(path) >= 2 and not missing and seq != lower:
+                    cycles.append(seq)
+            elif w not in path:
+                visit(path + [w])
+
+    visit([s0])
+    return cycles, nodes
+
+
 def rotate_min(seq):
     """Rotate a closed cycle sequence to start at its smallest vertex."""
     body = seq[:-1]
