@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 from .digraph import MultiDigraph, build_digraph, checked_int, \
     checked_vertices, is_integer
-from .packing import CyclePacking, packing_exists, verify_packing
-from .search import check_budget
+from .packing import CyclePacking, check_budget, packing_exists, \
+    verify_packing
 
 DECOMPOSED = "decomposed"
 EXHAUSTED = "exhausted"
@@ -102,13 +102,17 @@ class FamilySpec:
     def check(self) -> None:
         """Raise ValueError unless the family is one `make_family` builds.
 
-        Every parameter must be at least 1 and the family must have at
-        least 2 vertices; a bipartite family needs 2 <= t <= z and a
-        multipartite one at least 2 parts.  Anything else has no terminal
-        set whose packing number a table could state.
+        A complete family takes one parameter and the others two.  Every
+        parameter must be at least 1 and the family must have at least 2
+        vertices; a bipartite family needs 2 <= t <= z and a multipartite
+        one at least 2 parts.  Anything else has no terminal set whose
+        packing number a table could state.
         """
         if self.kind not in ("complete", "bipartite", "multipartite"):
             raise ValueError(f"unknown family kind {self.kind!r}")
+        if len(self.params) != (1 if self.kind == "complete" else 2):
+            raise ValueError(f"wrong parameter count for a {self.kind} "
+                             f"family: {self.params}")
         if min(self.params) < 1 or self.vertex_count < 2:
             raise ValueError(f"family {self.label} needs parameters of at "
                              "least 1 and at least 2 vertices")

@@ -26,8 +26,7 @@ from .gadgets import GadgetOutput, LinkageInstance, eulerian_gadget, \
     planar_gadget, replacement_gadget
 from .oracles import arc_disjoint_demand_paths, hamiltonian_cycle, \
     symmetric_two_packing_decision, weak_two_linkage
-from .packing import packing_exists
-from .search import check_budget
+from .packing import check_budget, packing_exists
 
 DEFAULT_SEED = 1729
 _RESAMPLE_LIMIT = 10_000

@@ -186,9 +186,12 @@ earliest set holding m is the one the scan already keeps.  A no lets the
 scan go on; each k pays for that decision at most once.  While m is above
 δ the scan goes on as well, and decides at the first m that is not.
 
-All solver entry points take an optional node budget; results say whether
-they are certified (search ran to completion or hit a bound) or were cut
-short.  Terminals, sizes, k, caps and budgets that are not integers raise
+All solver entry points take an optional node budget, None (no limit) or
+a nonnegative integer, and reject any other value with `check_budget`
+before they do any work.  Every search counts its nodes on one `Nodes`
+counter and raises `BudgetHit` at the first node past the budget.
+Results say whether they are certified (search ran to completion or hit
+a bound) or were cut short.  Terminals, sizes, k, caps and budgets that are not integers raise
 ValueError (the checks of `digraph`), and the witness text format is read
 by `digraph.read_lines`, with the digraph format's line rules.
 """
@@ -202,7 +205,26 @@ from itertools import chain, takewhile
 from .digraph import MultiDigraph, bits, capped_flow, checked_int, \
     is_integer, is_symmetric, min_semi_degree, read_lines, twin_partition, \
     validate_terminals
-from .search import BudgetHit, Nodes, check_budget
+
+
+class BudgetHit(Exception):
+    pass
+
+
+class Nodes:
+    """Search-node counter; `limit` is the budget, inf for none."""
+
+    __slots__ = ("count", "limit")
+
+    def __init__(self, limit):
+        self.count = 0
+        self.limit = float("inf") if limit is None else limit
+
+
+def check_budget(node_budget) -> None:
+    """Raise ValueError unless node_budget is None or a nonnegative integer."""
+    if node_budget is not None:
+        checked_int(node_budget, "node budget")
 
 
 @dataclass(frozen=True)
@@ -400,7 +422,7 @@ def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes,
     s0_bit = 1 << s0
     term_mask = sum(1 << s for s in terminals)
     into_s0 = pred[s0]
-    limit = float("inf") if nodes.limit is None else nodes.limit
+    limit = nodes.limit
     seq = [s0]
     # mates[v] is the bit of the next member of v's class, if any; a frame's
     # `free` mask holds the vertices whose next smaller class-mate is on its
@@ -743,17 +765,20 @@ def _decide(instance, terminals, target, nodes, deepest):
                 pred[v] |= 1 << u
             residual[(u, v)] += 1
 
-    def enter(last, pairs, forbidden):
-        # The frame of a node that took `last`, whose arc pairs are
-        # `pairs`.  `forbidden` holds (partition, orbit keys) of every
-        # ancestor whose group was nontrivial: the orbits its earlier
-        # children branched on.  Below the root, the residual cut is
-        # checked at the first backtrack that finds the subtree has cost
-        # `patience` nodes.  The root's own
-        # enumeration gets the group after as many nodes as the instance
-        # has support pairs, about what `twin_partition` costs.
-        start = nodes.count
-        nodes.step()
+    def enter(last, pairs):
+        # The frame [candidates, cut_at, part] of a node that took `last`,
+        # whose arc pairs are `pairs`.  Below the root, the residual cut
+        # is checked at the first backtrack once the node count reaches
+        # cut_at, the count before the node plus `patience`; cut_at is
+        # None at the root and once the cut is checked.  `part` is the
+        # twin partition of the node's group, None until its first
+        # backtrack.  The root's own enumeration gets the group after as
+        # many nodes as the instance has support pairs, about what
+        # `twin_partition` costs.
+        cut_at = nodes.count + patience if cur else None
+        nodes.count += 1
+        if nodes.count > nodes.limit:
+            raise BudgetHit
         seqs = _enumerate_cycles(s0, terminals, succ, pred, last, nodes,
                                  None if last else root_group, len(capacity))
         if last is not None and all(residual[p] > 0 for p in pairs):
@@ -761,30 +786,35 @@ def _decide(instance, terminals, target, nodes, deepest):
         if tight:
             first = succ[s0] & -succ[s0]
             seqs = takewhile(lambda seq: 1 << seq[1] == first, seqs)
-        # candidates, start, cut due, the twin partition of the node's
-        # group (None until its first backtrack), forbidden, branched,
-        # below and the orbit key of the child being searched
-        return [seqs, start, bool(cur), None, forbidden, None, forbidden, None]
+        return [seqs, cut_at, None]
 
     # One frame per node; the node at depth i has a child in search while
-    # cur holds more than i cycles.
-    stack = [enter(None, None, [])]
+    # cur holds more than i cycles.  `orbits` holds (partition, orbit keys
+    # branched on) for each open node whose group is nontrivial, outermost
+    # first, from its first backtrack on: a node skips a candidate in any
+    # of those orbits, its own last.  A node's entry leaves with its frame.
+    orbits = []
+
+    def leave(part):
+        stack.pop()
+        if part:
+            orbits.pop()
+
+    stack = [enter(None, None)]
     while stack:
         frame = stack[-1]
-        seqs, start, cut_due, part, forbidden, branched, below, key = frame
+        seqs, cut_at, part = frame
         if len(cur) == len(stack):
             # back from a child without a completion
             seq = cur.pop()
             untake(taken.pop())
-            if cut_due and nodes.count - start >= patience:
-                frame[2] = False
+            if cut_at is not None and nodes.count >= cut_at:
+                frame[1] = None
                 left = target - len(cur)
                 if _cut_bound(succ, pred, residual, terminals, left) < left:
-                    stack.pop()
+                    leave(part)
                     continue
-            if branched is not None:
-                branched.add(key)
-            elif part is None:
+            if part is None:
                 # A group prunes nothing before a node's second candidate,
                 # so a node builds its partition here, at its first
                 # backtrack: the root's, stabilised by every cycle taken
@@ -796,30 +826,27 @@ def _decide(instance, terminals, target, nodes, deepest):
                     if _cut_bound(*support, capacity, terminals,
                                   target) < target:
                         return None
-                part = frame[3] = _stabiliser(root_group(), cur)
+                part = frame[2] = _stabiliser(root_group(), cur)
                 if part:
-                    branched = frame[5] = {_orbit_key(seq, part)}
-                    below = frame[6] = forbidden + [(part, branched)]
+                    orbits.append((part, set()))
+            if part:
+                orbits[-1][1].add(_orbit_key(seq, part))
         for seq in seqs:
-            if forbidden and any(_orbit_key(seq, p) in keys
-                                 for p, keys in forbidden):
+            if orbits and any(_orbit_key(seq, p) in keys
+                              for p, keys in orbits):
                 continue
-            if branched is not None:
-                key = frame[7] = _orbit_key(seq, part)
-                if key in branched:
-                    continue
             pairs = cycle_pairs(seq)
             take(pairs)
             cur.append(seq)
             taken.append(pairs)
             if len(cur) > len(deepest):
                 deepest[:] = cur
-            stack.append(enter(seq, pairs, below))
+            stack.append(enter(seq, pairs))
             if len(cur) == target:
                 return cur
             break
         else:
-            stack.pop()
+            leave(part)
     return None
 
 

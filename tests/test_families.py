@@ -87,6 +87,9 @@ def test_make_family_rejects_degenerate(text):
 @pytest.mark.parametrize("spec", [
     FamilySpec.complete(1), FamilySpec.bipartite(1, 3),
     FamilySpec.bipartite(3, 2), FamilySpec.multipartite(3, 1),
+    # a complete family takes one parameter and the others two
+    FamilySpec("complete", ()), FamilySpec("complete", (3, 4)),
+    FamilySpec("bipartite", (3,)), FamilySpec("multipartite", (3,)),
 ])
 def test_closed_forms_share_the_family_rule(spec):
     # no digraph backs these specs, so no closed form is stated for them

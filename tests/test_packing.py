@@ -24,8 +24,8 @@ from steinercycles.digraph import twin_partition
 from steinercycles.families import make_family
 from steinercycles.harness import eulerian_instances, planar_instances, \
     random_digraph, replacement_instances, symmetric_instances
-from steinercycles.packing import _colex_subsets, _enumerate_cycles, cycle_pairs
-from steinercycles.search import Nodes
+from steinercycles.packing import Nodes, _colex_subsets, _enumerate_cycles, \
+    cycle_pairs
 from helpers import (
     brute_max_packing,
     brute_min_packing,

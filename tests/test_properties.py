@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from helpers import multiset_max_packing
 from steinercycles import packing
 from steinercycles.digraph import capped_flow, twin_partition
-from steinercycles.packing import _cut_bound, _enumerate_cycles, \
+from steinercycles.packing import Nodes, _cut_bound, _enumerate_cycles, \
     _flatten_via, _orbit_key, _reduce_instance, _twin_group
-from steinercycles.search import Nodes
 from steinercycles import (
     build_digraph,
     canonical_cycle,
@@ -449,9 +448,10 @@ def _bottleneck_instances(draw):
 @example(_wiggle_host((0, 1), (1, 0)))
 def test_residual_cut_matches_multiset_reference_on_bottleneck_hosts(instance):
     # Every size up to the degree bound, decided as shipped and with the
-    # residual cut checked at every backtrack: small hosts never cost the
-    # search enough nodes to check it otherwise.  Answers and witnesses
-    # agree, since only subtrees without a completion are cut.
+    # residual cut checked once per node, at the node's first backtrack:
+    # small hosts never cost the search enough nodes to check it
+    # otherwise.  Answers and witnesses agree, since only subtrees without
+    # a completion are cut.
     d, terminals = instance
     want = multiset_max_packing(d, enumerate_steiner_cycles(d, terminals))
     out, into = d.degrees()
@@ -465,6 +465,66 @@ def test_residual_cut_matches_multiset_reference_on_bottleneck_hosts(instance):
             (dec.exists, True, dec.packing), size
         if dec.exists:
             assert verify_packing(dec.packing) and len(dec.packing) == size
+
+
+def _class_host(sizes, cliques, joins):
+    """A host built from twin classes of the given sizes, on consecutive
+    vertices: each class in `cliques` is a complete digraph, and each
+    ((i, j), mult) of `joins` adds mult arcs from every member of class i
+    to every member of class j."""
+    members, n = [], 0
+    for size in sizes:
+        members.append(range(n, n + size))
+        n += size
+    arcs = [(u, v) for i in cliques for u in members[i] for v in members[i]
+            if u != v]
+    for (i, j), mult in joins:
+        arcs += [(u, v) for u in members[i] for v in members[j]] * mult
+    return build_digraph(n, arcs)
+
+
+@st.composite
+def _twin_class_instances(draw):
+    """Hosts from two to five twin classes of one to three vertices, some
+    of them cliques, with arcs of multiplicity 1 or 2 joining whole
+    classes, two or three terminals, and a size of at most 3 held to the
+    degree bound, where a decision is not settled before its search.
+    Few draws reach a residual cut at a node whose group is nontrivial;
+    the test's example does."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    classes = range(len(sizes))
+    cliques = draw(st.sets(st.sampled_from(classes)))
+    pairs = [(i, j) for i in classes for j in classes if i != j]
+    joins = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 2)),
+                          min_size=2, max_size=12, unique_by=lambda j: j[0]))
+    d = _class_host(sizes, cliques, joins)
+    terminals = draw(st.sets(st.integers(0, d.vertex_count - 1),
+                             min_size=2, max_size=3))
+    out, into = d.degrees()
+    bound = min(min(out[s], into[s]) for s in terminals)
+    return d, frozenset(terminals), max(1, min(bound, draw(st.integers(1, 3))))
+
+
+@pytest.mark.deep
+@given(_twin_class_instances())
+# Classes A={0}, B={1,2}, C={3}, D={4,5,6}, E={7}, D a clique: the residual
+# cut refutes a node whose group is nontrivial, and the node's orbit entry
+# must leave the search with it.  The shipped search answers yes in 690
+# nodes, with the witness of the search that never checks the cut.
+@example((_class_host((1, 2, 1, 3, 1), (3,), [
+    ((0, 1), 1), ((0, 2), 1), ((1, 0), 2), ((1, 3), 1), ((2, 4), 1),
+    ((3, 0), 2), ((3, 2), 2), ((3, 4), 1), ((4, 1), 2), ((4, 2), 1),
+    ((4, 3), 2)]), frozenset({0, 7}), 3))
+def test_residual_cut_keeps_the_witness_on_twin_class_hosts(instance):
+    # Decided as shipped and with the residual cut never checked: the cut
+    # drops only subtrees without a completion, so the answer and the
+    # witness agree whatever the group held at the node it refuted.
+    d, terminals, size = instance
+    dec = packing_exists(d, terminals, size)
+    with patch.object(packing, "_cut_patience", lambda *_: 10**9):
+        plain = packing_exists(d, terminals, size)
+    assert (dec.exists, dec.certified, dec.packing) == \
+        (plain.exists, plain.certified, plain.packing)
 
 
 @st.composite
