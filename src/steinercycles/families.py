@@ -337,14 +337,17 @@ def hamiltonian_decomposition(d: MultiDigraph,
                               node_budget: int | None = None) -> DecompositionResult:
     """Partition all arcs of d into Hamiltonian cycles, or prove none exists.
 
-    The simple complete digraph on an odd number of vertices is recognised
-    in O(m) and decomposed by construction (`_odd_complete_cycles`), with
-    0 nodes.  Every other r-regular digraph is decided by the packing
-    search with every vertex a terminal: r arc-disjoint Hamiltonian cycles
-    hold all n * r arcs, so they exist exactly when the arcs decompose.
-    `nodes` is that search's node count.  EXHAUSTED means the search ruled
-    the packing out; BUDGET means the node budget ran out first and
-    nothing is certified.
+    Hamiltonian cycles make d r-regular with m = n * r arcs, so an m
+    that n does not divide is EXHAUSTED with 0 nodes.  The simple
+    complete digraph on an odd number of vertices is recognised in O(m)
+    and decomposed by construction (`_odd_complete_cycles`), with 0
+    nodes.  Every other digraph is decided by the packing search with
+    every vertex a terminal: r arc-disjoint Hamiltonian cycles hold all
+    n * r arcs, so they exist exactly when the arcs decompose; on an
+    irregular digraph, with a semi-degree below r, its degree bound
+    refutes them in 0 nodes.  `nodes` is that search's node count.
+    EXHAUSTED means the search ruled the packing out; BUDGET means the
+    node budget ran out first and nothing is certified.
 
     Every decomposition, built or found, is checked with `is_valid`
     before it is returned; a failed check raises RuntimeError, so no
@@ -355,12 +358,9 @@ def hamiltonian_decomposition(d: MultiDigraph,
     m = len(d.arcs)
     if m == 0:
         return DecompositionResult(DECOMPOSED, DecompositionCertificate(d, ()), 0)
-    if n < 2 or m % n != 0:
+    if m % n:
         return DecompositionResult(EXHAUSTED, None, 0)
     r = m // n
-    out, into = d.degrees()
-    if any(c != r for c in out + into):
-        return DecompositionResult(EXHAUSTED, None, 0)
     # build_digraph refuses loops, so m = n(n - 1) distinct ordered pairs
     # are all of them and d is the simple complete digraph.
     if n % 2 and r == n - 1 and len(set(d.arcs)) == m:

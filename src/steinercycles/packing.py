@@ -167,10 +167,14 @@ that remembers the hidden vertex chain.  Both steps preserve Steiner cycle
 packings exactly (suppression is a bijection on cycles and keeps
 arc-disjointness), and witnesses are expanded back to original vertices.
 The reduction is one worklist pass over the host's successor and
-predecessor masks (`MultiDigraph.masks`), which the search then keeps as
-its residual support.  A step that changes the instance removes
-at least one arc instance and pushes back only the endpoints of the arcs
-it removed, so the pass takes O(n + m) steps.
+predecessor masks (`MultiDigraph.masks`) and its degrees
+(`MultiDigraph.degrees`); it keeps both up to date and returns them as the
+search's instance, with the degree bound.  A chain is kept as
+next-pointers: each merged arc instance records its first hidden vertex,
+and each hidden vertex the one after it, so a suppression costs O(1)
+however long the chains it joins are.  A step that changes the instance
+removes at least one arc instance and pushes back only the endpoints of
+the arcs it removed, so the pass takes O(n + m) steps.
 
 The minimum over k-sets, `min_packing_number`, solves one terminal set
 per orbit of the twin group, in colex order.  A Hamiltonian cycle passes
@@ -348,59 +352,66 @@ def reverse_cycle(d: MultiDigraph, seq) -> tuple:
 def _reduce_instance(d: MultiDigraph, terminals):
     """Terminal-preserving reduction; see the module docstring.
 
-    One worklist pass over `d.masks()` and the multiplicities.  A
-    non-terminal without in-arcs or without out-arcs loses its arcs; one
-    with exactly one arc instance in, (u, v), and one out, (v, w), is
-    suppressed onto a merged arc (u, w).  A step changes no degree but
-    those of the endpoints of the arcs it removes, so only they are pushed
-    again.
+    One worklist pass over `d.masks()`, `d.degrees()` and the
+    multiplicities, keeping all of them up to date.  A non-terminal of
+    out- or in-degree 0 loses its arcs; one of both degrees 1, on (u, v)
+    and (v, w), is suppressed onto a merged arc (u, w).  Only the
+    endpoints of the arcs a step removes are pushed again.
 
-    Returns (capacity, chains, succ, pred): capacity maps each surviving
-    ordered pair to its multiplicity, chains maps it to one via-chain per
-    instance (the suppressed original vertices between tail and head),
-    and succ/pred are the masks of the surviving pairs.  A via-chain is
-    kept nested, () or (left, v, right), so a suppression costs O(1)
-    however long its chains are; `_flatten_via` spells one out.
+    Returns (instance, chains, bound): the instance (capacity, succ, pred,
+    out_deg, in_deg) that `_decide` takes, the chains (firsts, after) and
+    the terminal degree bound.  firsts[pair] lists the first suppressed
+    vertex of each instance of a pair a suppression merged onto, None for
+    an original instance, which come first; after[v] is the vertex after
+    the suppressed vertex v on its chain, up to the pair's head.
     """
     succ, pred = d.masks()
+    out_deg, in_deg = d.degrees()
     capacity = Counter(d.arcs)
-    chains = {pair: [()] * c for pair, c in capacity.items()}
+    firsts = {}
+    after = {}
 
     def cut(u, v):
-        del capacity[(u, v)]
+        # drop every instance of (u, v); the first vertex of its first
+        # instance's chain, None for an original arc
+        c = capacity.pop((u, v))
         succ[u] ^= 1 << v
         pred[v] ^= 1 << u
-        return chains.pop((u, v))
+        out_deg[u] -= c
+        in_deg[v] -= c
+        return firsts.pop((u, v), (None,))[0]
 
     work = [v for v in range(d.vertex_count) if v not in terminals]
     while work:
         v = work.pop()
-        heads, tails = succ[v], pred[v]
-        if not heads or not tails:
-            ends = list(bits(heads or tails))
-            for x in ends:
-                if heads:
-                    cut(v, x)
-                else:
-                    cut(x, v)
-        elif heads & (heads - 1) or tails & (tails - 1):
-            continue
-        else:
-            u = tails.bit_length() - 1
-            w = heads.bit_length() - 1
-            if capacity[(u, v)] > 1 or capacity[(v, w)] > 1:
-                continue
-            via = (cut(u, v)[0], v, cut(v, w)[0])
+        if not out_deg[v] or not in_deg[v]:
+            ends = list(bits(succ[v] | pred[v]))  # one mask is 0
+            for x in bits(succ[v]):
+                cut(v, x)
+            for x in bits(pred[v]):
+                cut(x, v)
+        elif out_deg[v] == 1 == in_deg[v]:
+            u = pred[v].bit_length() - 1
+            w = succ[v].bit_length() - 1
+            a, b = cut(u, v), cut(v, w)
             if u != w:
                 # a suppression closing a loop means no simple Steiner
                 # cycle can pass through v at all, so v is just dropped
-                capacity[(u, w)] += 1
-                chains.setdefault((u, w), []).append(via)
+                after[v] = w if b is None else b
+                c = capacity[(u, w)]
+                firsts.setdefault((u, w), [None] * c).append(
+                    v if a is None else a)
+                capacity[(u, w)] = c + 1
                 succ[u] |= 1 << w
                 pred[w] |= 1 << u
+                out_deg[u] += 1
+                in_deg[w] += 1
             ends = sorted({u, w})
+        else:
+            continue
         work.extend(x for x in ends if x not in terminals)
-    return capacity, chains, succ, pred
+    bound = min(min(out_deg[s], in_deg[s]) for s in terminals)
+    return (capacity, succ, pred, out_deg, in_deg), (firsts, after), bound
 
 
 def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes,
@@ -563,34 +574,23 @@ def enumerate_steiner_cycles(d: MultiDigraph, terminals, cap: int | None = None)
     return out
 
 
-def _flatten_via(via) -> tuple:
-    """The vertices of a nested via-chain from `_reduce_instance`, in order.
-
-    Iterative, since a chain suppressed along a long path nests as deep as
-    the path is long."""
-    out = []
-    stack = [via]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, int):
-            out.append(item)
-        elif item:
-            left, v, right = item
-            stack += (right, v, left)
-    return tuple(out)
-
-
 def _expand_witness(seqs, chains):
-    """Replace merged arcs in reduced cycle sequences by their via-chains."""
+    """Replace merged arcs in reduced cycle sequences by their chains of
+    suppressed vertices, (firsts, after) from `_reduce_instance`."""
+    firsts, after = chains
     used = Counter()
     out = []
     for seq in seqs:
         orig = [seq[0]]
         for pair in cycle_pairs(seq):
-            k = used[pair]
-            used[pair] += 1
-            orig.extend(_flatten_via(chains[pair][k]))
-            orig.append(pair[1])
+            head = pair[1]
+            if pair in firsts:
+                v = firsts[pair][used[pair]]
+                used[pair] += 1
+                while v is not None and v != head:
+                    orig.append(v)
+                    v = after[v]
+            orig.append(head)
         out.append(tuple(orig))
     return tuple(out)
 
@@ -706,19 +706,6 @@ def _cut_patience(terminals, capacity) -> int:
     vertex joins, what one augmenting search per consecutive pair of them
     can scan; see the module docstring."""
     return len(terminals) * len(capacity)
-
-
-def _reduced(d: MultiDigraph, terminals):
-    """The instance (capacity, succ, pred, out_deg, in_deg) left by
-    `_reduce_instance`, its via-chains and its terminal degree bound."""
-    capacity, chains, succ, pred = _reduce_instance(d, terminals)
-    out_deg = [0] * d.vertex_count
-    in_deg = [0] * d.vertex_count
-    for (u, v), c in capacity.items():
-        out_deg[u] += c
-        in_deg[v] += c
-    bound = min(min(out_deg[s], in_deg[s]) for s in terminals)
-    return (capacity, succ, pred, out_deg, in_deg), chains, bound
 
 
 def _decide(instance, terminals, target, nodes, deepest):
@@ -859,7 +846,7 @@ def _ladder(d: MultiDigraph, terminals, nodes, beat=None):
     With `beat` given and below the degree bound, one decision at beat
     comes first.  A yes returns None, since the set's value is at least
     beat; after a no the ladder runs in full, from the degree bound."""
-    instance, chains, bound = _reduced(d, terminals)
+    instance, chains, bound = _reduce_instance(d, terminals)
     deepest = []
     certified = True
     try:
@@ -881,7 +868,7 @@ def _decision(d: MultiDigraph, terminals, size, nodes):
     """`size` arc-disjoint Steiner cycles of d for a validated terminal set,
     as a CyclePacking, or None when none exist: one decision on the reduced
     instance, counting on `nodes`.  BudgetHit propagates."""
-    instance, chains, bound = _reduced(d, terminals)
+    instance, chains, bound = _reduce_instance(d, terminals)
     seqs = (_decide(instance, terminals, size, nodes, [])
             if size <= bound else None)
     if seqs is None:

@@ -347,6 +347,12 @@ def test_decomposition_rejects_irregular_quickly():
     d = build_digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
     res = hamiltonian_decomposition(d)
     assert res.status == "exhausted" and res.nodes == 0
+    # m = 2n, but vertex 3 has semi-degree 1 (and vertex 0 has 3): the
+    # degree bound of the search refutes the two cycles without a node.
+    d = build_digraph(4, [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0),
+                          (1, 2), (2, 1)])
+    res = hamiltonian_decomposition(d)
+    assert (res.status, res.nodes) == ("exhausted", 0)
 
 
 def test_decomposition_budget():

@@ -224,6 +224,21 @@ def test_max_packing_respects_multiplicities():
     assert res.value == brute_max_packing(d2, {0, 1, 2})
 
 
+def test_merged_instances_expand_after_the_original_arc():
+    # The reduction suppresses 4, then 3, then 2, merging the chains 0-3-4-1
+    # and 0-2-1 onto the original arc (0, 1) in that order.  The reduced
+    # cycles are three copies of (0, 1, 0); the copies expand over the
+    # instances of (0, 1) in instance order, the original one first.
+    d = build_digraph(5, [(0, 2), (1, 0), (2, 1), (0, 1), (3, 4), (0, 3),
+                          (4, 1), (1, 0), (1, 0)])
+    res = max_cycle_packing(d, {0, 1})
+    assert (res.value, res.certified, res.nodes) == (3, True, 6)
+    assert res.packing.cycles == ((0, 1, 0), (0, 3, 4, 1, 0), (0, 2, 1, 0))
+    yes = packing_exists(d, {0, 1}, 2)
+    assert (yes.exists, yes.certified, yes.nodes) == (True, True, 5)
+    assert yes.packing.cycles == ((0, 1, 0), (0, 3, 4, 1, 0))
+
+
 def test_packing_exists_both_answers():
     d = _bidirected(4)
     yes = packing_exists(d, {0, 1}, 3)

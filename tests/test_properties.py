@@ -15,7 +15,7 @@ from helpers import multiset_max_packing
 from steinercycles import packing
 from steinercycles.digraph import capped_flow, twin_partition
 from steinercycles.packing import Nodes, _cut_bound, _enumerate_cycles, \
-    _flatten_via, _orbit_key, _reduce_instance, _twin_group
+    _expand_witness, _orbit_key, _reduce_instance, _twin_group
 from steinercycles import (
     build_digraph,
     canonical_cycle,
@@ -286,7 +286,7 @@ def test_root_enumerator_yields_exactly_the_orbit_keys(instance, drawn):
     # the arrival is dropped from its first vertex that begins no key.  It
     # costs no more nodes than the plain listing.
     d, terminals = instance
-    capacity, _, succ, pred = _reduce_instance(d, terminals)
+    (capacity, succ, pred, _, _), _, _ = _reduce_instance(d, terminals)
     s0 = min(terminals)
     part = _twin_group(succ, pred, capacity, terminals, s0)
     plain = Nodes(None)
@@ -554,38 +554,44 @@ def _reducible_instances(draw):
 @given(_reducible_instances())
 def test_reduction_keeps_exactly_the_steiner_cycles(instance):
     d, terminals = instance
-    capacity, chains, succ, pred = _reduce_instance(d, terminals)
-    assert {p: len(c) for p, c in chains.items()} == capacity
+    n = d.vertex_count
+    instance, chains, bound = _reduce_instance(d, terminals)
+    capacity, succ, pred, out_deg, in_deg = instance
+    firsts, _ = chains
+    assert all(len(firsts[p]) == capacity[p] for p in firsts)
     assert succ == [sum(1 << v for (u, v) in capacity if u == x)
-                    for x in range(d.vertex_count)]
+                    for x in range(n)]
     assert pred == [sum(1 << u for (u, v) in capacity if v == x)
-                    for x in range(d.vertex_count)]
+                    for x in range(n)]
+    # The degrees the pass keeps are the sums over the capacities, and the
+    # bound is their least over the terminals.
+    assert out_deg == [sum(c for (u, v), c in capacity.items() if u == x)
+                       for x in range(n)]
+    assert in_deg == [sum(c for (u, v), c in capacity.items() if v == x)
+                      for x in range(n)]
+    assert bound == min(min(out_deg[s], in_deg[s]) for s in terminals)
     # (a) At the fixpoint no surviving non-terminal is a dead end or passes
     # a single arc instance through.
-    out_deg, in_deg = Counter(), Counter()
-    for (u, v), c in capacity.items():
-        out_deg[u] += c
-        in_deg[v] += c
-    for v in set(out_deg) | set(in_deg):
-        if v not in terminals:
+    for v in range(n):
+        if v not in terminals and (out_deg[v] or in_deg[v]):
             assert out_deg[v] and in_deg[v], v
             assert (out_deg[v], in_deg[v]) != (1, 1), v
     # Each merged arc instance stands for its own path of original arc
-    # instances.
+    # instances: its expansions together stay within the multiplicities.
+    paths = {p: _expand_witness([p] * c, chains) for p, c in capacity.items()}
     used = Counter()
-    for (u, v), vias in chains.items():
-        for via in vias:
-            path = (u,) + _flatten_via(via) + (v,)
+    for pair_paths in paths.values():
+        for path in pair_paths:
             used.update(zip(path, path[1:]))
     mult = Counter(d.arcs)
     assert all(used[p] <= mult[p] for p in used)
     # (b) The input's Steiner cycles are the reduced instance's cycles with
-    # every merged arc expanded over each of its via-chains.
-    reduced = build_digraph(d.vertex_count, [p for p, c in capacity.items()
-                                             for _ in range(c)])
+    # every merged arc expanded over each of its instances' paths.
+    reduced = build_digraph(n, [p for p, c in capacity.items()
+                                for _ in range(c)])
     expanded = []
     for seq in enumerate_steiner_cycles(reduced, terminals):
-        options = [[_flatten_via(via) + (v,) for via in set(chains[(u, v)])]
+        options = [{path[1:] for path in paths[(u, v)]}
                    for (u, v) in zip(seq, seq[1:])]
         for steps in product(*options):
             expanded.append(seq[:1] + sum(steps, ()))
@@ -632,8 +638,9 @@ def test_reduction_of_a_long_ring_is_one_merged_2_cycle():
     # back to the whole ring.
     n = 1500
     d = build_digraph(n, [(v, (v + 1) % n) for v in range(n)])
-    capacity, chains, _, _ = _reduce_instance(d, frozenset({0, 750}))
+    (capacity, *_), _, bound = _reduce_instance(d, frozenset({0, 750}))
     assert capacity == {(0, 750): 1, (750, 0): 1}
+    assert bound == 1
     res = max_cycle_packing(d, {0, 750})
     assert (res.value, res.certified) == (1, True)
     assert res.packing.cycles == (tuple(range(n)) + (0,),)
