@@ -21,7 +21,7 @@ returns a verdict only and builds no embedding.
 from __future__ import annotations
 
 import sys
-from collections import Counter, deque
+from collections import Counter
 from numbers import Integral
 
 
@@ -30,9 +30,9 @@ class MultiDigraph:
 
     A plain value: the vertex count and the arc tuple, stored as given
     (`build_digraph` checks them), are all it holds.
-    Adjacency, degrees and multiplicities are built by the caller that
-    needs them (`masks`, `degrees`, `Counter(d.arcs)`), so nothing derived
-    from the arcs stays attached to a digraph after a solve."""
+    Multiplicities, adjacency and degrees are built by the caller that
+    needs them, in one pass (`support`), so nothing derived from the arcs
+    stays attached to a digraph after a solve."""
 
     __slots__ = ("vertex_count", "arcs")
 
@@ -51,43 +51,46 @@ class MultiDigraph:
     def __repr__(self):
         return f"MultiDigraph(n={self.vertex_count}, m={len(self.arcs)})"
 
-    def masks(self) -> tuple:
-        """(succ, pred): lists of bitmasks over vertex ids; bit w of succ[v]
-        is set when an arc leaves v for w, bit u of pred[v] when an arc
-        enters v from u.  The one adjacency form of the package, built
-        afresh for the caller to change."""
-        succ = [0] * self.vertex_count
-        pred = [0] * self.vertex_count
-        for (u, v) in self.arcs:
+    def support(self) -> tuple:
+        """(capacity, succ, pred, out_deg, in_deg), built in one pass over
+        the distinct ordered pairs and afresh for the caller to change.
+
+        `capacity` is a Counter of each pair's multiplicity, keys in the
+        order of their first instance in the arc list; bit w of succ[v] is
+        set when an arc leaves v for w, bit u of pred[v] when an arc enters
+        v from u; out_deg[v] and in_deg[v] count the arc instances leaving
+        and entering v.  The one form of multiplicity, adjacency and degree
+        in the package, in the order `capped_flow`, `twin_partition` and
+        the solver take them."""
+        n = self.vertex_count
+        succ = [0] * n
+        pred = [0] * n
+        out_deg = [0] * n
+        in_deg = [0] * n
+        capacity = Counter(self.arcs)
+        for (u, v), c in capacity.items():
             succ[u] |= 1 << v
             pred[v] |= 1 << u
-        return succ, pred
-
-    def degrees(self) -> tuple:
-        """(out, in): lists of the number of arc instances leaving and
-        entering each vertex, built afresh for the caller."""
-        out = [0] * self.vertex_count
-        into = [0] * self.vertex_count
-        for (u, v) in self.arcs:
-            out[u] += 1
-            into[v] += 1
-        return out, into
+            out_deg[u] += c
+            in_deg[v] += c
+        return capacity, succ, pred, out_deg, in_deg
 
     def is_simple(self) -> bool:
         """True when no ordered pair occurs more than once."""
         return len(set(self.arcs)) == len(self.arcs)
 
 
-def twin_partition(succ, pred, mult) -> tuple:
+def twin_partition(capacity, succ, pred) -> tuple:
     """Partition of the vertices 0..len(succ)-1 into classes of pairwise twins.
 
-    `succ[v]` and `pred[v]` are bitmasks of the heads of the arcs leaving v
-    and the tails of those entering it, and `mult.get((u, v), 0)` is the
-    multiplicity of the pair.  Each class is an ascending tuple, and the
-    classes are ordered by their first vertex.  Every member of a class is
-    checked against the class's first member r: swapping r and v must map
-    the arc multiset onto itself, that is mult(r, v) = mult(v, r) and, for
-    every other vertex w, mult(r, w) = mult(v, w) and mult(w, r) = mult(w, v).
+    `capacity.get((u, v), 0)` is mult(u, v), the multiplicity of the pair,
+    and `succ[v]` and `pred[v]` are bitmasks of the heads of the arcs
+    leaving v and the tails of those entering it, as `MultiDigraph.support`
+    builds them.  Each class is an ascending tuple, and the classes are
+    ordered by their first vertex.  Every member of a class is checked
+    against the class's first member r: swapping r and v must map the arc
+    multiset onto itself, that is mult(r, v) = mult(v, r) and, for every
+    other vertex w, mult(r, w) = mult(v, w) and mult(w, r) = mult(w, v).
     So every permutation within a class is an automorphism.  Being twins is
     an equivalence relation, and within one class either no two members
     are adjacent or every two are.  So twins share their sets of successors
@@ -100,11 +103,12 @@ def twin_partition(succ, pred, mult) -> tuple:
     """
     def swappable(r, v):
         # r and v share a bucket, so their masks agree off {r, v}.
-        if mult.get((r, v), 0) != mult.get((v, r), 0):
+        if capacity.get((r, v), 0) != capacity.get((v, r), 0):
             return False
         rest = ~((1 << r) | (1 << v))
-        return (all(mult[(r, w)] == mult[(v, w)] for w in bits(succ[r] & rest))
-                and all(mult[(w, r)] == mult[(w, v)]
+        return (all(capacity[(r, w)] == capacity[(v, w)]
+                    for w in bits(succ[r] & rest))
+                and all(capacity[(w, r)] == capacity[(w, v)]
                         for w in bits(pred[r] & rest)))
 
     n = len(succ)
@@ -150,14 +154,14 @@ def bits(mask: int):
         yield low.bit_length() - 1
 
 
-def capped_flow(succ, pred, capacity, x, y, goal) -> int:
+def capped_flow(capacity, succ, pred, x, y, goal) -> int:
     """min(goal, maxflow(x→y)): the maximum number of arc-disjoint x→y
     paths, stopped at goal.
 
-    `succ` and `pred` are the masks of the pairs that carry capacity, as
-    `MultiDigraph.masks` builds them; `capacity` maps each of those pairs
-    to a positive integer, as `Counter(d.arcs)` does, and any other pair
-    to 0 or to nothing; x != y.  The masks are not changed.
+    `capacity` maps each pair that carries capacity to a positive integer
+    and any other pair to 0 or to nothing, and `succ` and `pred` are the
+    masks of the pairs that carry capacity, as the first three entries of
+    `MultiDigraph.support`; x != y.  The masks are not changed.
 
     The paths of one arc, x→y, and of two, x→w→y, are arc-disjoint, so
     they start the flow.  When the pairs x→y and x→w→y present already
@@ -249,20 +253,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
-
-    def is_connected(self) -> bool:
-        n = self.vertex_count
-        if n <= 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in self.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == n
 
 
 def is_integer(value) -> bool:
@@ -364,7 +354,7 @@ def underlying_graph(d: MultiDigraph) -> Graph:
 
 def min_semi_degree(d: MultiDigraph) -> int:
     """min over all vertices of min(out-degree, in-degree), with multiplicity."""
-    out, into = d.degrees()
+    *_, out, into = d.support()
     return min(map(min, out, into), default=0)
 
 
@@ -372,10 +362,21 @@ def is_eulerian(d: MultiDigraph) -> bool:
     """True iff the underlying graph is connected and every vertex is balanced.
 
     Balanced means in-degree equals out-degree counting multiplicities.
-    Isolated vertices count against connectivity.
+    Isolated vertices count against connectivity; the digraphs on 0 and 1
+    vertices are connected.  The search from vertex 0 grows one layer
+    mask at a time over the arcs in both directions.
     """
-    out, into = d.degrees()
-    return out == into and underlying_graph(d).is_connected()
+    _, succ, pred, out, into = d.support()
+    if out != into:
+        return False
+    seen = front = 1 if succ else 0
+    while front:
+        nxt = 0
+        for v in bits(front):
+            nxt |= succ[v] | pred[v]
+        front = nxt & ~seen
+        seen |= front
+    return seen == (1 << len(succ)) - 1
 
 
 def is_symmetric(d: MultiDigraph) -> bool:

@@ -363,7 +363,7 @@ def hamiltonian_decomposition(d: MultiDigraph,
     r = m // n
     # build_digraph refuses loops, so m = n(n - 1) distinct ordered pairs
     # are all of them and d is the simple complete digraph.
-    if n % 2 and r == n - 1 and len(set(d.arcs)) == m:
+    if n % 2 and r == n - 1 and d.is_simple():
         cycles, nodes = _odd_complete_cycles(n), 0
     else:
         res = packing_exists(d, range(n), r, node_budget)

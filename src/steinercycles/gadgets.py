@@ -76,7 +76,7 @@ def _require_simple(d: MultiDigraph, what: str) -> None:
 
 def _excesses(d: MultiDigraph, extra_arcs):
     """Per-vertex out-degree minus in-degree after adding extra_arcs."""
-    out, into = d.degrees()
+    *_, out, into = d.support()
     exc = [o - i for o, i in zip(out, into)]
     for (u, v) in extra_arcs:
         exc[u] += 1

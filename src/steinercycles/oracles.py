@@ -3,11 +3,12 @@
 These are the ground-truth side of the reduction-equivalence harness: slow
 but straightforward searches that share none of the packing solver's
 search.  What they share with the solver is `digraph`: parsing and
-validation, the adjacency masks of `MultiDigraph.masks`, and the one
-max-flow, `digraph.capped_flow`, which the tests check against networkx.
-There is one exhaustive search, `_lex_paths`: the simple s->t paths, or
-with t = s the simple cycles through s, in lexicographic order.
-`arc_disjoint_demand_paths` places its paths one demand slot at a time
+validation, the capacities and adjacency masks of `MultiDigraph.support`,
+and the one max-flow, `digraph.capped_flow`, which the tests check
+against networkx.  There is one exhaustive search, `_lex_paths`: the
+simple s->t paths, or with t = s the simple cycles through s, in
+lexicographic order, over ascending neighbour lists read once from the
+masks.  `arc_disjoint_demand_paths` places its paths one demand slot at a time
 (with max-flow prechecks for quick refusals); `weak_two_linkage` is that
 search with both demands 1.  `hamiltonian_cycle` is its first cycle
 through every vertex.  `symmetric_two_packing_decision` answers whether a
@@ -25,12 +26,11 @@ so no input is too deep for them.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
-from .digraph import Graph, MultiDigraph, capped_flow, checked_int, \
-    checked_vertices, is_symmetric, underlying_graph, validate_terminals
+from .digraph import Graph, MultiDigraph, bits, capped_flow, checked_int, \
+    checked_vertices, is_symmetric, validate_terminals
 
 
 @dataclass(frozen=True)
@@ -46,20 +46,12 @@ def _pairs(path):
     return zip(path, path[1:])
 
 
-def _heads(d: MultiDigraph) -> dict:
-    """Map each vertex with an arc out to its distinct heads, ascending."""
-    heads = defaultdict(set)
-    for (u, v) in d.arcs:
-        heads[u].add(v)
-    return {u: sorted(hs) for u, hs in heads.items()}
-
-
 def _lex_paths(adj, s, t, residual=None, lower=None, through=frozenset()):
     """Yield simple s->t paths in lexicographic order, strictly greater
     than `lower` when given, that pass every vertex of `through`; with
     t = s, the simple cycles of at least two arcs through s.
 
-    `adj` maps a vertex to its out-neighbours, ascending.  When `residual`
+    `adj[v]` lists the out-neighbours of v, ascending.  When `residual`
     is given, only arcs it maps to a positive count are used; it is read as
     the search goes, so a caller that changes it between two paths changes
     the paths that follow.
@@ -68,7 +60,7 @@ def _lex_paths(adj, s, t, residual=None, lower=None, through=frozenset()):
     on_path = {s}
     # one frame per path vertex: its neighbours left to scan, and lower's
     # next entry while the path equals lower's prefix (else None)
-    frames = [[iter(adj.get(s, ())), lower[1] if lower else None]]
+    frames = [[iter(adj[s]), lower[1] if lower else None]]
     while frames:
         heads, lo = frames[-1]
         v = seq[-1]
@@ -86,7 +78,7 @@ def _lex_paths(adj, s, t, residual=None, lower=None, through=frozenset()):
                 seq.append(w)
                 on_path.add(w)
                 i = len(seq)
-                frames.append([iter(adj.get(w, ())),
+                frames.append([iter(adj[w]),
                                lower[i] if w == lo and i < len(lower) else None])
                 break
         else:
@@ -107,12 +99,11 @@ def arc_disjoint_demand_paths(d: MultiDigraph, s1, t1, d1: int,
     s1, t1, s2, t2 = checked_vertices(d.vertex_count, (s1, t1, s2, t2),
                                       distinct=True)
     d1, d2 = checked_int(d1, "demand", 1), checked_int(d2, "demand", 1)
-    caps = Counter(d.arcs)
-    succ, pred = d.masks()
-    if (capped_flow(succ, pred, caps, s1, t1, d1) < d1
-            or capped_flow(succ, pred, caps, s2, t2, d2) < d2):
+    caps, succ, pred, _, _ = d.support()
+    if (capped_flow(caps, succ, pred, s1, t1, d1) < d1
+            or capped_flow(caps, succ, pred, s2, t2, d2) < d2):
         return OracleAnswer(False, None)
-    adj = _heads(d)
+    adj = [list(bits(heads)) for heads in succ]
     residual = dict(caps)
     ends = [(s1, t1)] * d1 + [(s2, t2)] * d2
     chosen = []
@@ -167,7 +158,7 @@ def hamiltonian_cycle(g: Graph) -> OracleAnswer:
     n = g.vertex_count
     if n < 3:
         return OracleAnswer(False, None)
-    cycle = next(_lex_paths({v: g.neighbors(v) for v in range(n)}, 0, 0,
+    cycle = next(_lex_paths([g.neighbors(v) for v in range(n)], 0, 0,
                             through=frozenset(range(n))), None)
     return OracleAnswer(cycle is not None, cycle)
 
@@ -188,19 +179,19 @@ def symmetric_two_packing_decision(d: MultiDigraph, terminals) -> bool:
     if not is_symmetric(d):
         raise ValueError("this decision procedure requires a symmetric digraph")
     terminals = validate_terminals(d, terminals)
+    caps, succ, _, _, _ = d.support()
     if len(terminals) >= 3:
         start = min(terminals)
-        return next(_lex_paths(_heads(d), start, start, through=terminals),
+        adj = [list(bits(heads)) for heads in succ]
+        return next(_lex_paths(adj, start, start, through=terminals),
                     None) is not None
     u, v = sorted(terminals)
-    mult = Counter(d.arcs)
-    if min(mult[(u, v)], mult[(v, u)]) >= 2:
+    if min(caps[(u, v)], caps[(v, u)]) >= 2:
         return True
-    g = underlying_graph(d)
-    # x splits into 2x -> 2x + 1; an edge a-b becomes the arcs 2a + 1 -> 2b
-    # and 2b + 1 -> 2a
-    arcs = [(2 * x, 2 * x + 1) for x in range(g.vertex_count)]
-    for (a, b) in g.edges:
-        arcs += [(2 * a + 1, 2 * b), (2 * b + 1, 2 * a)]
-    succ, pred = MultiDigraph(2 * g.vertex_count, arcs).masks()
-    return capped_flow(succ, pred, Counter(arcs), 2 * u + 1, 2 * v, 2) == 2
+    # x splits into 2x -> 2x + 1; an edge a-b, both arcs (a, b) and (b, a)
+    # in a symmetric digraph, becomes the arcs 2a + 1 -> 2b and 2b + 1 -> 2a
+    n = d.vertex_count
+    arcs = [(2 * x, 2 * x + 1) for x in range(n)]
+    arcs += [(2 * a + 1, 2 * b) for a in range(n) for b in bits(succ[a])]
+    return capped_flow(*MultiDigraph(2 * n, arcs).support()[:3],
+                       2 * u + 1, 2 * v, 2) == 2

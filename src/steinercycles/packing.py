@@ -166,15 +166,15 @@ exactly one incoming and one outgoing arc are suppressed onto a merged arc
 that remembers the hidden vertex chain.  Both steps preserve Steiner cycle
 packings exactly (suppression is a bijection on cycles and keeps
 arc-disjointness), and witnesses are expanded back to original vertices.
-The reduction is one worklist pass over the host's successor and
-predecessor masks (`MultiDigraph.masks`) and its degrees
-(`MultiDigraph.degrees`); it keeps both up to date and returns them as the
-search's instance, with the degree bound.  A chain is kept as
-next-pointers: each merged arc instance records its first hidden vertex,
-and each hidden vertex the one after it, so a suppression costs O(1)
-however long the chains it joins are.  A step that changes the instance
-removes at least one arc instance and pushes back only the endpoints of
-the arcs it removed, so the pass takes O(n + m) steps.
+The reduction is one worklist pass over the host's capacities, successor
+and predecessor masks and degrees, all read from `MultiDigraph.support`;
+it keeps them up to date and returns them as the search's instance, with
+the degree bound.  A chain is kept as next-pointers: each merged arc
+instance records its first hidden vertex, and each hidden vertex the one
+after it, so a suppression costs O(1) however long the chains it joins
+are.  A step that changes the instance removes at least one arc instance
+and pushes back only the endpoints of the arcs it removed, so the pass
+takes O(n + m) steps.
 
 The minimum over k-sets, `min_packing_number`, solves one terminal set
 per orbit of the twin group, in colex order.  A Hamiltonian cycle passes
@@ -352,11 +352,11 @@ def reverse_cycle(d: MultiDigraph, seq) -> tuple:
 def _reduce_instance(d: MultiDigraph, terminals):
     """Terminal-preserving reduction; see the module docstring.
 
-    One worklist pass over `d.masks()`, `d.degrees()` and the
-    multiplicities, keeping all of them up to date.  A non-terminal of
-    out- or in-degree 0 loses its arcs; one of both degrees 1, on (u, v)
-    and (v, w), is suppressed onto a merged arc (u, w).  Only the
-    endpoints of the arcs a step removes are pushed again.
+    One worklist pass over the record `d.support()`, keeping all of it up
+    to date.  A non-terminal of out- or in-degree 0 loses its arcs; one of
+    both degrees 1, on (u, v) and (v, w), is suppressed onto a merged arc
+    (u, w).  Only the endpoints of the arcs a step removes are pushed
+    again.
 
     Returns (instance, chains, bound): the instance (capacity, succ, pred,
     out_deg, in_deg) that `_decide` takes, the chains (firsts, after) and
@@ -365,9 +365,7 @@ def _reduce_instance(d: MultiDigraph, terminals):
     an original instance, which come first; after[v] is the vertex after
     the suppressed vertex v on its chain, up to the pair's head.
     """
-    succ, pred = d.masks()
-    out_deg, in_deg = d.degrees()
-    capacity = Counter(d.arcs)
+    capacity, succ, pred, out_deg, in_deg = d.support()
     firsts = {}
     after = {}
 
@@ -565,7 +563,7 @@ def enumerate_steiner_cycles(d: MultiDigraph, terminals, cap: int | None = None)
     if cap is not None:
         cap = checked_int(cap, "cap")
     s0 = min(terminals)
-    succ, pred = d.masks()
+    _, succ, pred, _, _ = d.support()
     out = []
     for seq in _enumerate_cycles(s0, terminals, succ, pred, None, Nodes(None)):
         if cap is not None and len(out) >= cap:
@@ -595,7 +593,7 @@ def _expand_witness(seqs, chains):
     return tuple(out)
 
 
-def _twin_group(succ, pred, capacity, terminals, s0) -> dict:
+def _twin_group(capacity, succ, pred, terminals, s0) -> dict:
     """The twin group of the reduced instance, as a partition.
 
     Maps each vertex of a class of at least two members to its class (an
@@ -605,7 +603,7 @@ def _twin_group(succ, pred, capacity, terminals, s0) -> dict:
     class preserves the capacities, the terminal set and s0.
     """
     part = {}
-    for cls in twin_partition(succ, pred, capacity):
+    for cls in twin_partition(capacity, succ, pred):
         if len(cls) < 2 or not succ[cls[0]]:
             continue
         for side in ([v for v in cls if v in terminals and v != s0],
@@ -687,7 +685,7 @@ def _forced_terminals(capacity, succ, pred, out_deg, in_deg, terminals, t):
     return frozenset(forced)
 
 
-def _cut_bound(succ, pred, capacity, terminals, goal) -> int:
+def _cut_bound(capacity, succ, pred, terminals, goal) -> int:
     """min(goal, κ), where κ is the least maxflow(x→y) over ordered pairs
     of terminals; see the module docstring.
 
@@ -696,7 +694,7 @@ def _cut_bound(succ, pred, capacity, terminals, goal) -> int:
     """
     order = sorted(terminals)
     for x, y in zip(order, order[1:] + order[:1]):
-        goal = capped_flow(succ, pred, capacity, x, y, goal)
+        goal = capped_flow(capacity, succ, pred, x, y, goal)
     return goal
 
 
@@ -715,15 +713,14 @@ def _decide(instance, terminals, target, nodes, deepest):
     capacities, and BudgetHit from `nodes` propagates.  The cycles taken
     at a node are a packing; they overwrite the caller's list `deepest`
     whenever they outnumber it."""
-    capacity, succ, pred, out_deg, in_deg = instance
+    capacity, succ, pred, out_deg, _ = instance
     s0 = min(terminals)
     patience = _cut_patience(terminals, capacity)
-    terminals = _forced_terminals(capacity, succ, pred, out_deg, in_deg,
-                                  terminals, target)
+    terminals = _forced_terminals(*instance, terminals, target)
     if terminals is None:
         return None
-    # the group and the cut read `support`; `succ` and `pred` follow the residual
-    support = (succ, pred)
+    # the group and the root's cut read `instance`; `succ` and `pred`
+    # follow the residual
     succ, pred = list(succ), list(pred)
     residual = dict(capacity)
     cur = []
@@ -735,7 +732,7 @@ def _decide(instance, terminals, target, nodes, deepest):
     def root_group():
         nonlocal group
         if group is None:
-            group = _twin_group(*support, capacity, terminals, s0)
+            group = _twin_group(*instance[:3], terminals, s0)
         return group
 
     def take(pairs):
@@ -798,7 +795,7 @@ def _decide(instance, terminals, target, nodes, deepest):
             if cut_at is not None and nodes.count >= cut_at:
                 frame[1] = None
                 left = target - len(cur)
-                if _cut_bound(succ, pred, residual, terminals, left) < left:
+                if _cut_bound(residual, succ, pred, terminals, left) < left:
                     leave(part)
                     continue
             if part is None:
@@ -810,8 +807,7 @@ def _decide(instance, terminals, target, nodes, deepest):
                 # the cut on the root's reduced instance.
                 if root_cut:
                     root_cut = False
-                    if _cut_bound(*support, capacity, terminals,
-                                  target) < target:
+                    if _cut_bound(*instance[:3], terminals, target) < target:
                         return None
                 part = frame[2] = _stabiliser(root_group(), cur)
                 if part:
@@ -938,7 +934,7 @@ def _orbit_representatives(d: MultiDigraph, k: int):
     for subset in subsets:
         if prev is None:
             prev = {c[i]: c[i - 1]
-                    for c in twin_partition(*d.masks(), Counter(d.arcs))
+                    for c in twin_partition(*d.support()[:3])
                     for i in range(1, len(c))}
         if all(v not in prev or prev[v] in subset for v in subset):
             yield subset
@@ -978,6 +974,8 @@ def min_packing_number(d: MultiDigraph, k: int,
     minimum.
     """
     check_budget(node_budget)
+    if d.vertex_count < 2:
+        raise ValueError("a terminal set needs at least two vertices")
     k = checked_int(k, "k", 2, d.vertex_count)
     nodes = Nodes(node_budget)
     witness = None

@@ -124,6 +124,19 @@ def test_instance_too_large_for_memory_is_usage_error(tmp_path, capsys):
         assert captured.err == "error: instance too large for this machine\n"
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_lambda_k_below_two_vertices_is_usage_error(tmp_path, capsys, n):
+    # No k is in range, so lambda-k refuses as solve does, not with an
+    # empty range of k.
+    graph = tmp_path / "tiny.digraph"
+    graph.write_text(f"n {n}\n")
+    assert main(["lambda-k", "--graph", str(graph), "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: a terminal set needs at least two vertices\n"
+
+
 def test_lambda_k_output(k4_file, capsys):
     assert main(["lambda-k", "--graph", k4_file, "--k", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()

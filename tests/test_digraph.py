@@ -48,9 +48,10 @@ def test_build_rejects_loops_and_range():
 def test_parallel_arcs_kept_in_order():
     d = build_digraph(2, [(0, 1), (0, 1), (1, 0)])
     assert d.arcs == ((0, 1), (0, 1), (1, 0))
-    assert Counter(d.arcs)[(0, 1)] == 2
-    assert d.degrees()[0][0] == 2
-    assert d.masks()[0][0] == 1 << 1
+    capacity, succ, _, out, _ = d.support()
+    assert capacity[(0, 1)] == 2
+    assert out[0] == 2
+    assert succ[0] == 1 << 1
     assert not d.is_simple()
 
 
@@ -75,15 +76,40 @@ def test_int_arc_tuples_are_kept_and_others_rebuilt():
 
 def test_degrees_and_adjacency():
     d = build_digraph(4, [(0, 1), (0, 2), (2, 1), (3, 0)])
-    succ, pred = d.masks()
+    _, succ, pred, out, into = d.support()
     assert succ[0] == 1 << 1 | 1 << 2
     assert pred[1] == 1 << 0 | 1 << 2
-    out, into = d.degrees()
     assert into[1] == 2
     assert out[1] == 0
     assert (out, into) == ([2, 0, 1, 1], [1, 2, 1, 0])
     assert min_semi_degree(d) == 0
     assert succ[3] & 1 << 0 and not succ[0] & 1 << 3
+
+
+@st.composite
+def _multidigraphs(draw):
+    # 0 to 6 vertices; arcs drawn with repetition from the ordered pairs,
+    # so parallel arcs are common and vertices are often left isolated
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=14)) if pairs else []
+    return build_digraph(n, arcs)
+
+
+@given(_multidigraphs())
+def test_support_matches_the_arcs_one_by_one(d):
+    capacity, succ, pred, out, into = d.support()
+    mult = Counter(d.arcs)
+    assert type(capacity) is Counter
+    assert list(capacity.items()) == list(mult.items())
+    n = d.vertex_count
+    assert len(succ) == len(pred) == len(out) == len(into) == n
+    for u in range(n):
+        for v in range(n):
+            assert succ[u] >> v & 1 == pred[v] >> u & 1 == ((u, v) in mult)
+        assert succ[u] >> n == pred[u] >> n == 0
+        assert out[u] == sum(1 for (a, _) in d.arcs if a == u)
+        assert into[u] == sum(1 for (_, b) in d.arcs if b == u)
 
 
 def test_no_layer_leaves_state_on_a_digraph():
@@ -154,6 +180,9 @@ def test_is_eulerian():
     # isolated vertex counts against connectivity
     assert not is_eulerian(build_digraph(4, [(0, 1), (1, 2), (2, 0)]))
     assert not is_eulerian(build_digraph(2, [(0, 1)]))
+    # no vertex, or one without arcs: balanced and connected
+    assert is_eulerian(build_digraph(0, []))
+    assert is_eulerian(build_digraph(1, []))
 
 
 def test_is_symmetric():
@@ -326,9 +355,13 @@ def test_planarity_deep_grid_at_default_recursion_limit():
 @given(st.integers(0, 2 ** 30))
 def test_eulerian_matches_networkx(seed):
     rng = random.Random(seed)
-    n = rng.randint(2, 6)
+    n = rng.randint(1, 6)
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     arcs = [a for a in pairs if rng.random() < 0.4]
+    # parallel arcs: a second instance of every arc, which keeps a balanced
+    # digraph balanced, or of a random few
+    arcs += arcs if rng.random() < 0.3 else rng.sample(
+        arcs, rng.randint(0, len(arcs)))
     d = build_digraph(n, arcs)
     g = nx.MultiDiGraph()
     g.add_nodes_from(range(n))

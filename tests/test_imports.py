@@ -1,7 +1,8 @@
 """The package is pure standard library: no module imports anything else,
 no module imports another's private names, and the oracles share with the
-solver they check only `digraph` (parsing, validation, `masks()` and the
-one max-flow, which the tests check against networkx), none of its search.
+solver they check only `digraph` (parsing, validation, the record
+`MultiDigraph.support()` and the one max-flow, which the tests check
+against networkx), none of its search.
 No function is recursive, so no input is too deep for the interpreter's
 recursion limit."""
 
@@ -42,7 +43,8 @@ def test_oracles_import_nothing_from_the_solver():
     # The oracles are the harness's ground truth for the solver's answers,
     # so they must not reuse its cycle enumeration or any other part of
     # `packing`.  They share `digraph` with the solver: parsing, validation,
-    # `masks()` and the one max-flow, `capped_flow`, which
+    # the capacities and masks of `MultiDigraph.support()` and the one
+    # max-flow, `capped_flow`, which
     # test_properties::test_cut_flow_matches_networkx checks against networkx.
     path = PACKAGE / "oracles.py"
     imported = set()

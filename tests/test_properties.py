@@ -87,7 +87,7 @@ def test_packing_value_bounded_by_terminal_degrees(seed):
     k = rng.randint(2, min(3, d.vertex_count))
     terms = frozenset(rng.sample(range(d.vertex_count), k))
     res = max_cycle_packing(d, terms)
-    out, into = d.degrees()
+    *_, out, into = d.support()
     bound = min(min(out[v], into[v]) for v in terms)
     assert res.value <= bound
     assert verify_packing(res.packing)
@@ -178,7 +178,7 @@ def _swap_preserves_arcs(d, r, v):
 @pytest.mark.deep
 @given(_twinned_multidigraphs())
 def test_twin_classes_are_exactly_the_swappable_pairs(d):
-    classes = twin_partition(*d.masks(), Counter(d.arcs))
+    classes = twin_partition(*d.support()[:3])
     assert sorted(v for c in classes for v in c) == list(range(d.vertex_count))
     assert [c[0] for c in classes] == sorted(c[0] for c in classes)
     cls = {v: c for c in classes for v in c}
@@ -253,7 +253,7 @@ def test_tight_decision_matches_multiset_reference(instance):
     # arc at a tight terminal: it forces the first arc at s0 and promotes
     # the non-terminals that every cycle must pass.
     d, terminals = instance
-    out, into = d.degrees()
+    *_, out, into = d.support()
     bound = min(min(out[s], into[s]) for s in terminals)
     assume(bound >= 1)
     want = multiset_max_packing(d, enumerate_steiner_cycles(d, terminals))
@@ -288,7 +288,7 @@ def test_root_enumerator_yields_exactly_the_orbit_keys(instance, drawn):
     d, terminals = instance
     (capacity, succ, pred, _, _), _, _ = _reduce_instance(d, terminals)
     s0 = min(terminals)
-    part = _twin_group(succ, pred, capacity, terminals, s0)
+    part = _twin_group(capacity, succ, pred, terminals, s0)
     plain = Nodes(None)
     listing = list(_enumerate_cycles(s0, terminals, succ, pred, None, plain))
     keys = {c for c in listing if _orbit_key(c, part) == c}
@@ -390,17 +390,16 @@ def test_cut_flow_matches_networkx(instance):
     # over consecutive terminals against networkx's flows between every
     # ordered pair of terminals.
     d, terminals, goal = instance
-    succ, pred = d.masks()
-    capacity = Counter(d.arcs)
+    capacity, succ, pred, _, _ = d.support()
     g = nx.DiGraph()
     g.add_nodes_from(range(d.vertex_count))
     g.add_edges_from((u, v, {"capacity": c}) for (u, v), c in capacity.items())
     flows = {(x, y): nx.maximum_flow_value(g, x, y)
              for x in terminals for y in terminals if x != y}
     for (x, y), f in flows.items():
-        assert capped_flow(succ, pred, capacity, x, y, len(d.arcs) + 1) == f
-        assert capped_flow(succ, pred, capacity, x, y, goal) == min(goal, f)
-    assert _cut_bound(succ, pred, capacity, terminals, goal) == min(
+        assert capped_flow(capacity, succ, pred, x, y, len(d.arcs) + 1) == f
+        assert capped_flow(capacity, succ, pred, x, y, goal) == min(goal, f)
+    assert _cut_bound(capacity, succ, pred, terminals, goal) == min(
         goal, *flows.values())
 
 
@@ -454,7 +453,7 @@ def test_residual_cut_matches_multiset_reference_on_bottleneck_hosts(instance):
     # a completion are cut.
     d, terminals = instance
     want = multiset_max_packing(d, enumerate_steiner_cycles(d, terminals))
-    out, into = d.degrees()
+    *_, out, into = d.support()
     bound = min(min(out[s], into[s]) for s in terminals)
     for size in range(1, bound + 1):
         dec = packing_exists(d, terminals, size)
@@ -500,7 +499,7 @@ def _twin_class_instances(draw):
     d = _class_host(sizes, cliques, joins)
     terminals = draw(st.sets(st.integers(0, d.vertex_count - 1),
                              min_size=2, max_size=3))
-    out, into = d.degrees()
+    *_, out, into = d.support()
     bound = min(min(out[s], into[s]) for s in terminals)
     return d, frozenset(terminals), max(1, min(bound, draw(st.integers(1, 3))))
 
