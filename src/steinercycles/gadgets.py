@@ -69,14 +69,15 @@ class GadgetOutput:
     trace: dict
 
 
-def _require_simple(d: MultiDigraph, what: str) -> None:
-    if not d.is_simple():
-        raise ValueError(f"{what} must be a simple digraph (no parallel arcs)")
+def _require_simple(simple: bool) -> None:
+    if not simple:
+        raise ValueError("the linkage digraph must be a simple digraph "
+                         "(no parallel arcs)")
 
 
-def _excesses(d: MultiDigraph, extra_arcs):
-    """Per-vertex out-degree minus in-degree after adding extra_arcs."""
-    *_, out, into = d.support()
+def _excesses(out, into, extra_arcs):
+    """Per-vertex out-degree minus in-degree after adding extra_arcs, from
+    the degree lists of `MultiDigraph.support`."""
     exc = [o - i for o, i in zip(out, into)]
     for (u, v) in extra_arcs:
         exc[u] += 1
@@ -135,9 +136,10 @@ def eulerian_gadget(inst: LinkageInstance, k: int) -> GadgetOutput:
     """
     k = checked_int(k, "ring size k", 3)
     g = inst.digraph
-    _require_simple(g, "the linkage digraph")
+    capacity, _, _, out, into = g.support()
+    _require_simple(len(capacity) == len(g.arcs))
     n = g.vertex_count
-    exc = _excesses(g, [(inst.t1, inst.s1), (inst.t2, inst.s2)])
+    exc = _excesses(out, into, [(inst.t1, inst.s1), (inst.t2, inst.s2)])
     p = sum(e for e in exc if e > 0)
 
     def x(i):
@@ -213,7 +215,7 @@ def planar_gadget(inst: LinkageInstance, k: int) -> GadgetOutput:
     if inst.d1 is None or inst.d2 is None:
         raise ValueError("the planar construction needs both demands d1, d2")
     g = inst.digraph
-    _require_simple(g, "the linkage digraph")
+    _require_simple(g.is_simple())
     n = g.vertex_count
     d1, d2 = inst.d1, inst.d2
 

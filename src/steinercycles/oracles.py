@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .digraph import Graph, MultiDigraph, bits, capped_flow, checked_int, \
-    checked_vertices, is_symmetric, validate_terminals
+    checked_vertices, validate_terminals
 
 
 @dataclass(frozen=True)
@@ -176,10 +176,10 @@ def symmetric_two_packing_decision(d: MultiDigraph, terminals) -> bool:
     internally disjoint u-v paths, decided by a unit-vertex-capacity
     max-flow, with no cycle search at all.
     """
-    if not is_symmetric(d):
+    caps, succ, pred, _, _ = d.support()
+    if succ != pred:
         raise ValueError("this decision procedure requires a symmetric digraph")
     terminals = validate_terminals(d, terminals)
-    caps, succ, _, _, _ = d.support()
     if len(terminals) >= 3:
         start = min(terminals)
         adj = [list(bits(heads)) for heads in succ]

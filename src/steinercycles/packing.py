@@ -56,11 +56,16 @@ terminal is used, each by a different cycle.  Two exact rules follow.
   residual out-arcs as there are cycles to come, so a completion reaching
   t uses all of them, the lowest one (s0, w) included.  Its
   lexicographically first cycle starts with (s0, w), since no residual arc
-  leaves s0 for a vertex below w.  The node walks its candidates in
-  lexicographic order and stops at the first one not starting (s0, w);
-  every candidate up to a completion's first cycle starts that way.  Each
-  cycle of a completion the node allows is one of its candidates (see the
-  soundness of the orbits below), so the stop loses none.
+  leaves s0 for a vertex below w.  So the node's enumeration is bounded
+  by that arc: the frame of s0 tries w as its only head, and no vertex is
+  entered after any other first arc.  The cycles starting (s0, w) come
+  first in lexicographic order, and a retaken `last` starts (s0, w) too,
+  since its parent's first arc was the lowest then and still has
+  capacity.  So the node's candidates are those of the full listing up to
+  its first cycle not starting (s0, w), and every candidate up to a
+  completion's first cycle starts that way.  Each cycle of a completion
+  the node allows is one of its candidates (see the soundness of the
+  orbits below), so the bound loses none.
 * Forced vertices, once at the root.  A terminal of in-degree t is
   in-tight: each of its t arc instances in is used by a different cycle
   of a t-packing; out-tight is the same for arcs out.  A cycle passes any
@@ -101,8 +106,8 @@ the reduced instance in search nodes, S the caller's terminal set: what
 one augmenting search per pair of consecutive terminals of S can scan, so
 the check costs about as much as the search it may save, plus one flow
 per forced vertex.  Forced vertices lengthen the check but do not delay
-it; counting them in the patience too cost the Eulerian corpus 9,433 nodes
-against 8,414.  The value comes from the input; there is no option.
+it; counting them in the patience too cost the Eulerian corpus 9,153 nodes
+against 8,134.  The value comes from the input; there is no option.
 
 The search branches on one cycle per orbit (orbital branching: Ostrowski,
 Linderoth, Rossi and Smriglio, Math. Programming 126, 2011).  The group
@@ -204,7 +209,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, takewhile
+from itertools import chain
 
 from .digraph import MultiDigraph, bits, capped_flow, checked_int, \
     is_integer, is_symmetric, min_semi_degree, read_lines, twin_partition, \
@@ -412,15 +417,17 @@ def _reduce_instance(d: MultiDigraph, terminals):
     return (capacity, succ, pred, out_deg, in_deg), (firsts, after), bound
 
 
-def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes,
-                      group=None, due=0):
+def _enumerate_cycles(s0, term_mask, succ, pred, lower, nodes,
+                      group=None, due=0, first=-1):
     """Yield canonical Steiner cycle sequences in lexicographic order.
 
+    `term_mask` is the bitmask of the terminals, s0 the smallest.
     `succ[u]` and `pred[v]` are bitmasks over vertex ids: the heads of the
     usable support arcs leaving u and the tails of those entering v.  Only
-    sequences strictly greater than `lower` are produced when it is given.
-    The search prunes branches from which the remaining terminals or the
-    closing vertex are unreachable, by the rules of the module docstring.
+    sequences strictly greater than `lower` are produced when it is given,
+    and only those whose second vertex is a bit of `first`.  The search
+    prunes branches from which the remaining terminals or the closing
+    vertex are unreachable, by the rules of the module docstring.
 
     At the root of a decision, `group` returns the twin partition of the
     root's group (see `_twin_group`).  It is called at the first frame
@@ -429,7 +436,6 @@ def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes,
     orbit keys, the cycles c with `_orbit_key(c, part) == c`.
     """
     s0_bit = 1 << s0
-    term_mask = sum(1 << s for s in terminals)
     into_s0 = pred[s0]
     limit = nodes.limit
     seq = [s0]
@@ -510,7 +516,7 @@ def _enumerate_cycles(s0, terminals, succ, pred, lower, nodes,
     off = ~s0_bit
     if prune_ok(s0, off):
         lo = None if lower is None else lower[1]
-        heads = succ[s0] & off
+        heads = succ[s0] & off & first
         frames.append([heads if lo is None else heads & -1 << lo, off, lo, -1])
     while frames:
         if group and nodes.count >= due:
@@ -562,14 +568,19 @@ def enumerate_steiner_cycles(d: MultiDigraph, terminals, cap: int | None = None)
     terminals = validate_terminals(d, terminals)
     if cap is not None:
         cap = checked_int(cap, "cap")
-    s0 = min(terminals)
     _, succ, pred, _, _ = d.support()
     out = []
-    for seq in _enumerate_cycles(s0, terminals, succ, pred, None, Nodes(None)):
+    for seq in _enumerate_cycles(min(terminals), _mask(terminals), succ, pred,
+                                 None, Nodes(None)):
         if cap is not None and len(out) >= cap:
             break
         out.append(seq)
     return out
+
+
+def _mask(vertices) -> int:
+    """The bitmask of a set of vertex ids."""
+    return sum(1 << v for v in vertices)
 
 
 def _expand_witness(seqs, chains):
@@ -601,17 +612,34 @@ def _twin_group(capacity, succ, pred, terminals, s0) -> dict:
     instance split into terminals and non-terminals, with s0 fixed and the
     vertices the reduction removed left out; every permutation within each
     class preserves the capacities, the terminal set and s0.
+
+    Twins share their successor and predecessor masks (open key) or those
+    masks with the vertex added (closed key), as `twin_partition` sets out.
+    Without parallel arcs the converse holds too, and no vertex shares a
+    key of each kind, so the classes are the keys' buckets; only with
+    parallel arcs does `twin_partition` check each swap.
     """
+    if max(capacity.values(), default=1) > 1:
+        classes = [side for cls in twin_partition(capacity, succ, pred)
+                   if succ[cls[0]]
+                   for side in ([v for v in cls if v in terminals],
+                                [v for v in cls if v not in terminals])]
+    else:
+        buckets = {}
+        for v in range(len(succ)):
+            if succ[v]:
+                own = 1 << v
+                side = v in terminals
+                buckets.setdefault((side, 0, succ[v], pred[v]), []).append(v)
+                buckets.setdefault((side, 1, succ[v] | own, pred[v] | own),
+                                   []).append(v)
+        classes = buckets.values()
     part = {}
-    for cls in twin_partition(capacity, succ, pred):
-        if len(cls) < 2 or not succ[cls[0]]:
-            continue
-        for side in ([v for v in cls if v in terminals and v != s0],
-                     [v for v in cls if v not in terminals]):
-            if len(side) > 1:
-                side = tuple(side)
-                for v in side:
-                    part[v] = side
+    for cls in classes:
+        cls = tuple(v for v in cls if v != s0)
+        if len(cls) > 1:
+            for v in cls:
+                part[v] = cls
     return part
 
 
@@ -656,32 +684,34 @@ def _forced_terminals(capacity, succ, pred, out_deg, in_deg, terminals, t):
     A terminal of in-degree t (out-degree t) is in-tight (out-tight).
     f_out[v] counts the arc instances from v into in-tight terminals and
     f_in[v] those into v from out-tight ones; the neighbours of a tight
-    terminal are read off the reduced instance's masks.
+    terminal are read off the reduced instance's masks, and a vertex is
+    judged whenever one of its counts reaches t.
     """
     forced = set(terminals)
+    work = list(terminals)
     f_out = [0] * len(succ)
     f_in = [0] * len(succ)
-    work = list(terminals)
     while work:
         s = work.pop()
-        touched = []
-        if in_deg[s] == t:
-            for u in bits(pred[s]):
-                f_out[u] += capacity[(u, s)]
-                touched.append(u)
-        if out_deg[s] == t:
-            for u in bits(succ[s]):
-                f_in[u] += capacity[(s, u)]
-                touched.append(u)
-        for u in touched:
-            f = max(f_out[u], f_in[u])
-            if f > t:
-                return None
-            if f == t and u not in forced:
-                if min(out_deg[u], in_deg[u]) < t:
+        for into, counts, mask, deg in ((True, f_out, pred[s], in_deg[s]),
+                                        (False, f_in, succ[s], out_deg[s])):
+            if deg != t:
+                continue
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                u = low.bit_length() - 1
+                f = counts[u] + capacity[(u, s) if into else (s, u)]
+                counts[u] = f
+                if f < t:
+                    continue
+                if f > t:
                     return None
-                forced.add(u)
-                work.append(u)
+                if u not in forced:
+                    if min(out_deg[u], in_deg[u]) < t:
+                        return None
+                    forced.add(u)
+                    work.append(u)
     return frozenset(forced)
 
 
@@ -719,6 +749,7 @@ def _decide(instance, terminals, target, nodes, deepest):
     terminals = _forced_terminals(*instance, terminals, target)
     if terminals is None:
         return None
+    term_mask = _mask(terminals)
     # the group and the root's cut read `instance`; `succ` and `pred`
     # follow the residual
     succ, pred = list(succ), list(pred)
@@ -758,18 +789,17 @@ def _decide(instance, terminals, target, nodes, deepest):
         # twin partition of the node's group, None until its first
         # backtrack.  The root's own enumeration gets the group after as
         # many nodes as the instance has support pairs, about what
-        # `twin_partition` costs.
+        # `twin_partition` costs.  When `tight`, the enumeration is bounded
+        # by the forced first arc, to s0's lowest residual successor.
         cut_at = nodes.count + patience if cur else None
         nodes.count += 1
         if nodes.count > nodes.limit:
             raise BudgetHit
-        seqs = _enumerate_cycles(s0, terminals, succ, pred, last, nodes,
-                                 None if last else root_group, len(capacity))
+        seqs = _enumerate_cycles(s0, term_mask, succ, pred, last, nodes,
+                                 None if last else root_group, len(capacity),
+                                 succ[s0] & -succ[s0] if tight else -1)
         if last is not None and all(residual[p] > 0 for p in pairs):
             seqs = chain((last,), seqs)
-        if tight:
-            first = succ[s0] & -succ[s0]
-            seqs = takewhile(lambda seq: 1 << seq[1] == first, seqs)
         return [seqs, cut_at, None]
 
     # One frame per node; the node at depth i has a child in search while

@@ -223,10 +223,12 @@ def test_hamiltonian_packing_ends_the_multipartite_scans():
     """Once a second terminal set is due, one decision with every vertex a
     terminal at the running minimum m proves every k-set packs m cycles:
     K(2,2,2,2) and K(3,3,3) have Hamiltonian decompositions (Ng, 1997).
-    Without it the scans cost 43,594 and 78,696 nodes.  k = 5 on K(2,2,2,2)
-    stays out: its scan costs 104,485 nodes with the decision."""
-    for spec, ks, total in (("multipartite:2x4", (2, 3, 4, 6, 7, 8), 965),
-                            ("multipartite:3x3", (2, 3, 4), 12357)):
+    Without it the scans cost 35,493 and 55,970 nodes.  k = 5 on K(2,2,2,2)
+    stays out: its scan costs 73,543 nodes with the decision.  The totals
+    were 965 and 12,357 while a tight node's enumeration was cut at its
+    forced first arc only in its output."""
+    for spec, ks, total in (("multipartite:2x4", (2, 3, 4, 6, 7, 8), 933),
+                            ("multipartite:3x3", (2, 3, 4), 8485)):
         d = make_family(spec)
         nodes = 0
         for k in ks:
@@ -294,8 +296,8 @@ def test_decomposition_near_complete_inputs_are_searched():
     cases = (
         (arcs[1:], "exhausted", 0),  # one arc removed
         (arcs + arcs[:1], "exhausted", 0),  # one arc doubled
-        (arcs + ham_arcs, "decomposed", 104),  # a Hamiltonian cycle doubled
-        ([a for a in arcs if a not in ham_arcs], "decomposed", 104),  # removed
+        (arcs + ham_arcs, "decomposed", 92),  # a Hamiltonian cycle doubled
+        ([a for a in arcs if a not in ham_arcs], "decomposed", 88),  # removed
     )
     for case_arcs, status, nodes in cases:
         res = hamiltonian_decomposition(build_digraph(7, case_arcs))
@@ -323,8 +325,10 @@ def test_decomposition_construction_is_checked(monkeypatch):
 
 
 def test_decomposition_even_complete_refuted():
-    # The packing search refutes both exceptions; its tree is pinned exactly.
-    for n, nodes in ((4, 13), (6, 524)):
+    # The packing search refutes both exceptions; its tree is pinned exactly
+    # (13 and 524 nodes while the forced first arc cut only the
+    # enumerator's output).
+    for n, nodes in ((4, 11), (6, 332)):
         res = hamiltonian_decomposition(make_family(f"complete:{n}"))
         assert res.status == "exhausted"
         assert res.certificate is None
@@ -333,8 +337,8 @@ def test_decomposition_even_complete_refuted():
 
 def test_decomposition_multipartite():
     for spec, cycles, nodes in (("multipartite:2x3", 4, 33),
-                                ("multipartite:3x5", 12, 14573),
-                                ("multipartite:2x7", 12, 11505)):
+                                ("multipartite:3x5", 12, 11520),
+                                ("multipartite:2x7", 12, 9538)):
         res = hamiltonian_decomposition(make_family(spec))
         assert (res.status, res.nodes) == ("decomposed", nodes), spec
         assert len(res.certificate.cycles) == cycles, spec

@@ -51,7 +51,8 @@ def test_eulerian_gadget_rejects_bad_input():
     with pytest.raises(ValueError):
         eulerian_gadget(LinkageInstance(simple, 0, 1, 2, 3), 2)
     doubled = build_digraph(4, [(0, 1), (0, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the linkage digraph must be a "
+                       r"simple digraph \(no parallel arcs\)"):
         eulerian_gadget(LinkageInstance(doubled, 0, 1, 2, 3), 3)
 
 
@@ -153,6 +154,10 @@ def test_planar_gadget_rejects_bad_input():
         planar_gadget(LinkageInstance(grid, 0, 3, 1, 2, 1, 1), 1)
     with pytest.raises(ValueError):
         planar_gadget(LinkageInstance(grid, 0, 3, 1, 2), 2)  # demands missing
+    doubled = build_digraph(4, [(0, 1), (1, 3), (2, 3), (2, 3)])
+    with pytest.raises(ValueError, match="the linkage digraph must be a "
+                       r"simple digraph \(no parallel arcs\)"):
+        planar_gadget(LinkageInstance(doubled, 0, 3, 2, 1, 1, 1), 2)
 
 
 def test_planar_gadget_tracks_demand_feasibility():

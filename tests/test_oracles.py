@@ -220,8 +220,18 @@ def test_witnesses_are_the_lexicographically_first(instance, g):
 
 
 def test_symmetric_decision_requires_symmetry():
-    with pytest.raises(ValueError):
-        symmetric_two_packing_decision(build_digraph(3, [(0, 1)]), {0, 1})
+    # Symmetry is of the support: a doubled arc needs one reverse arc.  It
+    # is checked before the terminals are.
+    one_way = build_digraph(3, [(0, 1)])
+    for terminals in ({0, 1}, {0, 7}, {0}):
+        with pytest.raises(ValueError, match="requires a symmetric digraph"):
+            symmetric_two_packing_decision(one_way, terminals)
+    assert not symmetric_two_packing_decision(
+        build_digraph(3, [(0, 1), (0, 1), (1, 0)]), {0, 1})
+    with pytest.raises(ValueError) as err:
+        symmetric_two_packing_decision(build_digraph(3, [(0, 1), (1, 0)]),
+                                       {0, 7})
+    assert "symmetric" not in str(err.value)
 
 
 def test_symmetric_decision_two_terminals():

@@ -25,7 +25,7 @@ from steinercycles.families import make_family
 from steinercycles.harness import eulerian_instances, planar_instances, \
     random_digraph, replacement_instances, symmetric_instances
 from steinercycles.packing import Nodes, _colex_subsets, _enumerate_cycles, \
-    cycle_pairs
+    _mask, cycle_pairs
 from helpers import (
     brute_max_packing,
     brute_min_packing,
@@ -101,13 +101,13 @@ def test_enumerate_matches_brute_random():
         assert len(set(got)) == len(got)
 
 
-def test_enumerate_mid_search_matches_filtered_listing():
-    # Inside the branch-and-bound the enumerator sees saturated pairs and a
-    # lower bound: it must list exactly the full listing's cycles above
-    # `lower` that avoid every saturated pair, in the same order.
-    rng = random.Random(29)
-    checked = 0
-    for _ in range(300):
+def _mid_search_cases(rng, draws=300):
+    # Seeded multidigraphs with parallel arcs, as the branch-and-bound sees
+    # them: some support pairs saturated and a lower bound drawn from the
+    # full listing, or None.  Yields (terms, succ, pred, lower, want), want
+    # the full listing's cycles above `lower` that avoid every saturated
+    # pair, in order.
+    for _ in range(draws):
         d = _random_digraph(rng, lo=3, hi=6, p=0.5)
         if not d.arcs:
             continue
@@ -130,11 +130,50 @@ def test_enumerate_mid_search_matches_filtered_listing():
         want = [seq for seq in full
                 if (lower is None or seq > lower)
                 and saturated.isdisjoint(cycle_pairs(seq))]
-        got = list(_enumerate_cycles(min(terms), terms, succ, pred, lower,
-                                     Nodes(None)))
-        assert got == want, (d, sorted(terms), sorted(saturated), lower)
+        yield terms, succ, pred, lower, want
+
+
+def test_enumerate_mid_search_matches_filtered_listing():
+    # Inside the branch-and-bound the enumerator sees saturated pairs and a
+    # lower bound: it must list exactly the full listing's cycles above
+    # `lower` that avoid every saturated pair, in the same order.
+    checked = 0
+    for terms, succ, pred, lower, want in _mid_search_cases(random.Random(29)):
+        got = list(_enumerate_cycles(min(terms), _mask(terms), succ, pred,
+                                     lower, Nodes(None)))
+        assert got == want, (sorted(terms), succ, pred, lower)
         checked += 1
     assert checked > 100
+
+
+def test_enumerate_bounded_by_the_forced_first_arc():
+    # A tight decision passes the bit of s0's lowest residual successor w:
+    # the enumerator must list exactly the unbounded listing's cycles whose
+    # second vertex is w, in the same order.  It enters no vertex after any
+    # other first arc, so it costs at most one node more than the listing
+    # over the residual without those arcs (whose root may fail the prune
+    # that w then fails), and never more than the unbounded listing.
+    checked = cut = 0
+    for terms, succ, pred, lower, want in _mid_search_cases(random.Random(29),
+                                                            900):
+        s0 = min(terms)
+        first = succ[s0] & -succ[s0]
+        if not first or first == succ[s0]:
+            continue
+        w = first.bit_length() - 1
+        bounded, plain, alone = Nodes(None), Nodes(None), Nodes(None)
+        got = list(_enumerate_cycles(s0, _mask(terms), succ, pred, lower,
+                                     bounded, first=first))
+        assert got == [seq for seq in want if seq[1] == w], \
+            (sorted(terms), succ, pred, lower)
+        list(_enumerate_cycles(s0, _mask(terms), succ, pred, lower, plain))
+        only_w = succ[:s0] + [first] + succ[s0 + 1:]
+        list(_enumerate_cycles(s0, _mask(terms), only_w, pred, lower, alone))
+        assert alone.count <= bounded.count <= min(alone.count + 1,
+                                                   plain.count)
+        checked += 1
+        cut += len(got) < len(want)
+    assert checked > 150 and cut > 50
 
 
 def _sparse_host(rng):
@@ -192,8 +231,8 @@ def test_enumerate_mid_search_matches_brute_listing_on_sparse_hosts():
                 if (lower is None or seq > lower)
                 and saturated.isdisjoint(cycle_pairs(seq))]
         nodes = Nodes(None)
-        got = list(_enumerate_cycles(min(terms), terms, succ, pred, lower,
-                                     nodes))
+        got = list(_enumerate_cycles(min(terms), _mask(terms), succ, pred,
+                                     lower, nodes))
         assert got == want, (d, sorted(terms), sorted(saturated), lower)
         listing = pruned_cycle_listing(n, set(support) - saturated, terms,
                                        lower)
@@ -313,15 +352,18 @@ def test_search_tree_pinned():
     # Node counts and witnesses of fixed searches; a change to the
     # enumeration order, the pruning, the orbital branching or the rules at
     # the degree bound shows up here first.
+    # At the degree bound the first arc is forced: every enumeration stops
+    # after the cycles that start with it (524, 524, 652 and 98 nodes when
+    # only the enumerator's output was cut there).
     no = packing_exists(make_family("complete:6"), range(6), 5)
-    assert (no.exists, no.certified, no.nodes) == (False, True, 524)
+    assert (no.exists, no.certified, no.nodes) == (False, True, 332)
     # Vertex 2 is forced, so this is the search over all six terminals.
     no = packing_exists(make_family("complete:6"), {0, 1, 3, 4, 5}, 5)
-    assert (no.exists, no.certified, no.nodes) == (False, True, 524)
+    assert (no.exists, no.certified, no.nodes) == (False, True, 332)
     yes = packing_exists(make_family("complete:6"), {0, 1, 2, 3}, 5)
-    assert (yes.exists, yes.certified, yes.nodes) == (True, True, 652)
+    assert (yes.exists, yes.certified, yes.nodes) == (True, True, 461)
     res = max_cycle_packing(make_family("complete:7"), {0, 4, 5, 6})
-    assert (res.value, res.certified, res.nodes) == (6, True, 98)
+    assert (res.value, res.certified, res.nodes) == (6, True, 85)
     assert res.packing.cycles == (
         (0, 1, 2, 3, 4, 5, 6, 0), (0, 2, 1, 3, 6, 5, 4, 0),
         (0, 3, 1, 4, 6, 2, 5, 0), (0, 4, 2, 6, 1, 5, 3, 0),
@@ -352,12 +394,12 @@ def test_cut_bound_refutes_at_the_first_backtrack():
 
 def test_budgeted_max_keeps_the_deepest_packing():
     # On K6 with all six terminals the decision at the degree bound 5 is a
-    # no after 524 nodes, and its search holds four cycles long before
+    # no after 332 nodes, and its search holds four cycles long before
     # that.  The maximum is those four: no rung is left to decide, and a
     # budget that cuts the search short still reports them.
     d = make_family("complete:6")
     res = max_cycle_packing(d, range(6))
-    assert (res.value, res.certified, res.nodes) == (4, True, 524)
+    assert (res.value, res.certified, res.nodes) == (4, True, 332)
     res = max_cycle_packing(d, range(6), node_budget=100)
     assert (res.value, res.certified) == (4, False)
     assert verify_packing(res.packing) and len(res.packing) == 4
@@ -366,7 +408,7 @@ def test_budgeted_max_keeps_the_deepest_packing():
 def test_residual_cut_refutes_the_costliest_eulerian_gadgets():
     # The acceptance corpus's two largest Eulerian refutations: a few cycles
     # in, the residual's cut falls below the cycles still needed, and the
-    # subtree is refuted (5,027 and 6,989 nodes with the root's cut alone).
+    # subtree is refuted (5,019 and 6,981 nodes with the root's cut alone).
     gadgets = {iid: g for iid, _, g in eulerian_instances(100, 1729)}
     for iid, most in (("eulerian-018", 1000), ("eulerian-020", 2500)):
         g = gadgets[iid]
@@ -388,18 +430,20 @@ def _corpus_decisions(family, count):
 
 
 @pytest.mark.parametrize("family, count, total", [
-    ("replacement", 200, 10093), ("eulerian", 100, 8414),
-    ("planar", 50, 2248), ("symmetric", 100, 573)],
+    ("replacement", 200, 10081), ("eulerian", 100, 8134),
+    ("planar", 50, 1882), ("symmetric", 100, 572)],
     ids=["replacement", "eulerian", "planar", "symmetric"])
 def test_corpus_node_totals(family, count, total):
-    # The decisions of the benchmark's corpus workload, 21,328 nodes in all,
+    # The decisions of the benchmark's corpus workload, 20,669 nodes in all,
     # so a rule that silently stops firing shows up here.  The two channel
     # vertices of an edge of the replacement gadget are twins, so a root
     # enumeration that walked every path would meet each Hamiltonian path
     # of the source graph once per choice of channels: the root's skip of
-    # twin paths takes replacement from 19,852 nodes to 10,093.  Eulerian
-    # reads 9,433 when the residual cut's patience counts the forced
-    # vertices too.
+    # twin paths takes replacement from 19,840 nodes to 10,081.  Eulerian
+    # reads 9,153 when the residual cut's patience counts the forced
+    # vertices too.  Bounding a tight node's enumeration by its forced
+    # first arc, not just its output, took the totals from 10,093, 8,414,
+    # 2,248 and 573.
     nodes = 0
     for d, terminals, size in _corpus_decisions(family, count):
         res = packing_exists(d, terminals, size)
@@ -410,8 +454,8 @@ def test_corpus_node_totals(family, count, total):
 
 def test_min_packing_number_decides_at_the_degree_bound_first():
     # On K7 at k = 6 and on K2,2,2,2 at k = 7 the value is the degree bound
-    # 6, so each solved set is settled by one decision at the bound (95 and
-    # 424 nodes in all).
+    # 6, so each solved set is settled by one decision at the bound (83 and
+    # 204 nodes in all).
     for spec, k, most in (("complete:7", 6, 200), ("multipartite:2x4", 7, 1000)):
         res = min_packing_number(make_family(spec), k)
         assert (res.value, res.certified) == (6, True), spec
@@ -419,11 +463,13 @@ def test_min_packing_number_decides_at_the_degree_bound_first():
 
 
 def test_min_packing_number_sweep_node_total():
-    # The lambda-k tables of the benchmark's sweep: 3,105 nodes on the
-    # families and 3,520 on the random digraphs (3,983 and 6,152 before the
-    # scan ended with one decision with every vertex a terminal; the
-    # families read 3,128 while the root's enumerator kept walking the open
-    # twin paths after its group arrived).
+    # The lambda-k tables of the benchmark's sweep: 2,860 nodes on the
+    # families and 3,492 on the random digraphs (3,105 and 3,520 while a
+    # tight node's enumeration was cut at its forced first arc only in its
+    # output; 3,983 and 6,152 before the scan ended with one decision with
+    # every vertex a terminal; the families read 3,128 while the root's
+    # enumerator kept walking the open twin paths after its group
+    # arrived).
     tables = [(make_family(spec), k_max) for spec, k_max in (
         ("complete:5", 5), ("complete:6", 4), ("complete:7", 3),
         ("bipartite:3,4", 7), ("bipartite:3,5", 8), ("multipartite:2x3", 6))]
@@ -433,7 +479,7 @@ def test_min_packing_number_sweep_node_total():
         tables.append((d, d.vertex_count))
     total = sum(min_packing_number(d, k).nodes
                 for d, k_max in tables for k in range(2, k_max + 1))
-    assert total == 6625
+    assert total == 6352
 
 
 def test_packing_exists_refuses_a_size_that_is_not_an_integer():

@@ -15,7 +15,7 @@ from helpers import multiset_max_packing
 from steinercycles import packing
 from steinercycles.digraph import capped_flow, twin_partition
 from steinercycles.packing import Nodes, _cut_bound, _enumerate_cycles, \
-    _expand_witness, _orbit_key, _reduce_instance, _twin_group
+    _expand_witness, _mask, _orbit_key, _reduce_instance, _twin_group
 from steinercycles import (
     build_digraph,
     canonical_cycle,
@@ -187,6 +187,36 @@ def test_twin_classes_are_exactly_the_swappable_pairs(d):
 
 
 @pytest.mark.deep
+@given(_twinned_multidigraphs(), st.booleans(), st.data())
+def test_twin_group_is_every_swap_within_a_side(d, simple, data):
+    # The group of a decision's root: on the reduced instance, two vertices
+    # share a class exactly when both have arcs, neither is s0, both or
+    # neither are terminals, and swapping them preserves every capacity.
+    # Simple hosts take the path that reads the classes off the mask
+    # buckets, though a suppression can still merge parallel arcs.
+    if simple:
+        d = build_digraph(d.vertex_count, sorted(set(d.arcs)))
+    terminals = frozenset(data.draw(st.sets(
+        st.integers(0, d.vertex_count - 1), min_size=2)))
+    (capacity, succ, pred, _, _), _, _ = _reduce_instance(d, terminals)
+    s0 = min(terminals)
+    part = _twin_group(capacity, succ, pred, terminals, s0)
+
+    def swappable(r, v):
+        def image(x):
+            return v if x == r else r if x == v else x
+        return capacity == {(image(a), image(b)): c
+                            for (a, b), c in capacity.items()}
+
+    for r, v in combinations(range(d.vertex_count), 2):
+        want = (bool(succ[r] and succ[v]) and s0 not in (r, v)
+                and (r in terminals) == (v in terminals) and swappable(r, v))
+        assert (r in part and v in part[r]) == want, (r, v)
+    assert all(cls == tuple(sorted(cls)) and len(cls) > 1
+               for cls in part.values())
+
+
+@pytest.mark.deep
 @given(_twinned_multidigraphs(), st.integers(2, 6))
 def test_min_packing_number_matches_scan_of_every_subset(d, k):
     assume(k <= d.vertex_count)
@@ -290,7 +320,8 @@ def test_root_enumerator_yields_exactly_the_orbit_keys(instance, drawn):
     s0 = min(terminals)
     part = _twin_group(capacity, succ, pred, terminals, s0)
     plain = Nodes(None)
-    listing = list(_enumerate_cycles(s0, terminals, succ, pred, None, plain))
+    term_mask = _mask(terminals)
+    listing = list(_enumerate_cycles(s0, term_mask, succ, pred, None, plain))
     keys = {c for c in listing if _orbit_key(c, part) == c}
     assert keys == {c for c in listing if _off_key_prefix(c, part) is None}
     for due in (0, 1, drawn):
@@ -302,7 +333,7 @@ def test_root_enumerator_yields_exactly_the_orbit_keys(instance, drawn):
             arrived.append(len(got))
             return part
 
-        for seq in _enumerate_cycles(s0, terminals, succ, pred, None, nodes,
+        for seq in _enumerate_cycles(s0, term_mask, succ, pred, None, nodes,
                                      group, due):
             got.append(seq)
         assert len(arrived) <= 1, due
