@@ -87,19 +87,24 @@ def twin_partition(capacity, succ, pred) -> tuple:
     and `succ[v]` and `pred[v]` are bitmasks of the heads of the arcs
     leaving v and the tails of those entering it, as `MultiDigraph.support`
     builds them.  Each class is an ascending tuple, and the classes are
-    ordered by their first vertex.  Every member of a class is checked
-    against the class's first member r: swapping r and v must map the arc
+    ordered by their first vertex.  Swapping twins r and v maps the arc
     multiset onto itself, that is mult(r, v) = mult(v, r) and, for every
     other vertex w, mult(r, w) = mult(v, w) and mult(w, r) = mult(w, v).
     So every permutation within a class is an automorphism.  Being twins is
     an equivalence relation, and within one class either no two members
     are adjacent or every two are.  So twins share their sets of successors
     and predecessors (open key), or those sets with the vertex added
-    (closed key), and bucketing by both keys finds every twin pair.  On a
-    simple digraph each bucket is one class, so every vertex is checked
-    once and the whole takes O(n + m) expected time; parallel arcs can put
-    several classes in one bucket, and a vertex is then checked against the
-    first member of each.
+    (closed key), and bucketing by both keys finds every twin pair.
+
+    When no capacity exceeds 1 the converse holds too: two vertices sharing
+    either key have equal multiplicities to and from every other vertex,
+    and mult(r, v) = mult(v, r) (both 0 under the open key, both 1 under
+    the closed one).  No vertex then shares a key of each kind, since its
+    two buckets' members would be twins of one another, adjacent and not.
+    So each bucket is one class and is taken without a check, in O(n + m)
+    expected time.  Parallel arcs can put several classes in one bucket;
+    then every member is checked against the first member r of each class
+    found so far in its bucket, by the swap condition above.
     """
     def swappable(r, v):
         # r and v share a bucket, so their masks agree off {r, v}.
@@ -128,8 +133,13 @@ def twin_partition(capacity, succ, pred) -> tuple:
         buckets.setdefault((succ[v] << n | pred[v]) << 1, []).append(v)
         buckets.setdefault(((succ[v] | own) << n | pred[v] | own) << 1 | 1,
                            []).append(v)
+    simple = max(capacity.values(), default=1) == 1
     for bucket in buckets.values():
         if len(bucket) < 2:
+            continue
+        if simple:
+            for v in bucket[1:]:
+                leader[v] = bucket[0]
             continue
         firsts = []
         for v in bucket:

@@ -157,29 +157,58 @@ its heads, so only keys follow.  Until then it yields the plain listing;
 the root skips each cycle there that is no key, since its key came first.
 The group is built then, or at the search's first backtrack if that comes
 first, so a search settled on its first descent within that many root
-nodes never builds it.  The skip pays most
-on the replacement gadget, whose two channels of an edge are twins: where
-the source graph has no Hamiltonian cycle the root finds no cycle and
-never backtracks, and without the skip its enumeration meets each path of
-the source graph once per choice of channels.  Below the root the
+nodes never builds it.  The skip pays most on the families' tables,
+whose vertices fall into few twin classes: the sweep's tables take 2,860
+nodes with it and 4,066 without.  The two channels of an edge of the
+replacement gadget are twins too, but the reduction below suppresses
+every channel vertex, so they no longer reach the search (its 200 corpus
+decisions take 2,407 nodes, 2,419 without the skip).  Below the root the
 enumerators do not skip: the lower bound `last` can exclude an orbit's key
 while it admits other members of the orbit.
 
-Before searching, the instance is reduced: non-terminal vertices that miss
-incoming or outgoing arcs are deleted, and non-terminal vertices with
-exactly one incoming and one outgoing arc are suppressed onto a merged arc
-that remembers the hidden vertex chain.  Both steps preserve Steiner cycle
-packings exactly (suppression is a bijection on cycles and keeps
-arc-disjointness), and witnesses are expanded back to original vertices.
+Before searching, the instance is reduced by three rules on non-terminal
+vertices v, each preserving Steiner cycle packings exactly; witnesses are
+expanded back to original vertices.
+
+1. A vertex that misses incoming or outgoing arcs lies on no cycle and is
+   deleted.
+2. A vertex with exactly one arc instance in, (u, v), and one out, (v, w),
+   is suppressed onto a merged instance of (u, w) that remembers the
+   hidden vertex chain, or just deleted when u = w.  Every cycle through
+   v passes u, v, w, so suppression is a bijection on Steiner cycles and
+   keeps arc-disjointness.
+3. A vertex whose arcs are exactly one original instance each of (u, v),
+   (v, w), (w, v) and (v, u), for distinct u and w, is the inner vertex of
+   a bidirected path; it is suppressed onto one merged instance each of
+   (u, w) and (w, u), each carrying the one-vertex chain v, unless
+   S ⊆ {u, w} (the K-terminal series reduction of Satyanarayana and
+   Wood, SIAM J. Comput. 14, 1985).  A Steiner cycle through v passes u,
+   v, w or w, v, u, since the 2-cycles u, v, u and w, v, w miss a second
+   terminal, so the rule is a bijection on Steiner cycles and keeps
+   arc-disjointness.  The one cycle it adds is the 2-cycle u, w, u
+   through both merged instances, which expands to no cycle; it is a
+   Steiner cycle only when S ⊆ {u, w}, the case the rule skips.  The
+   four instances must be original: a merged one carries a chain, and v
+   would sit on two chains, (u, .., v, w) and (w, v, .., u), that one
+   next-pointer cannot both follow.  The two merged instances leave
+   together: rule 1 at u or w drops both, and rule 2 reaches u only when
+   they are its only arcs, and then it closes a loop and drops both.  So
+   a chain of this rule is never extended, and it ends at v whichever
+   way it is walked.  On the replacement gadget every channel vertex
+   goes, and the search runs on the source graph bidirected, each pair
+   once per channel.
+
 The reduction is one worklist pass over the host's capacities, successor
 and predecessor masks and degrees, all read from `MultiDigraph.support`;
 it keeps them up to date and returns them as the search's instance, with
 the degree bound.  A chain is kept as next-pointers: each merged arc
 instance records its first hidden vertex, and each hidden vertex the one
 after it, so a suppression costs O(1) however long the chains it joins
-are.  A step that changes the instance removes at least one arc instance
-and pushes back only the endpoints of the arcs it removed, so the pass
-takes O(n + m) steps.
+are.  A step of rule 1 or 2 removes at least one arc instance and pushes
+back only the endpoints of the arcs it removed.  A step of rule 3 removes
+four arc instances, adds two and pushes back nothing: u and w keep their
+degrees and gain merged instances only, so no rule newly applies to them.
+So the pass takes O(n + m) steps.
 
 The minimum over k-sets, `min_packing_number`, solves one terminal set
 per orbit of the twin group, in colex order.  A Hamiltonian cycle passes
@@ -360,15 +389,18 @@ def _reduce_instance(d: MultiDigraph, terminals):
     One worklist pass over the record `d.support()`, keeping all of it up
     to date.  A non-terminal of out- or in-degree 0 loses its arcs; one of
     both degrees 1, on (u, v) and (v, w), is suppressed onto a merged arc
-    (u, w).  Only the endpoints of the arcs a step removes are pushed
-    again.
+    (u, w); one on original instances of (u, v), (v, u), (v, w) and
+    (w, v) is suppressed onto merged arcs (u, w) and (w, u) unless S is
+    within {u, w}.  Only the endpoints of the arcs a step of the first two
+    rules removes are pushed again.
 
     Returns (instance, chains, bound): the instance (capacity, succ, pred,
     out_deg, in_deg) that `_decide` takes, the chains (firsts, after) and
     the terminal degree bound.  firsts[pair] lists the first suppressed
     vertex of each instance of a pair a suppression merged onto, None for
     an original instance, which come first; after[v] is the vertex after
-    the suppressed vertex v on its chain, up to the pair's head.
+    the suppressed vertex v on its chain, up to the pair's head, or None
+    when v is a bidirected path's inner vertex, its chain's only one.
     """
     capacity, succ, pred, out_deg, in_deg = d.support()
     firsts = {}
@@ -410,6 +442,30 @@ def _reduce_instance(d: MultiDigraph, terminals):
                 out_deg[u] += 1
                 in_deg[w] += 1
             ends = sorted({u, w})
+        elif (out_deg[v] == 2 == in_deg[v] and succ[v] == pred[v]
+              and succ[v] & succ[v] - 1):
+            # v is a bidirected path's inner vertex between u and w; unless
+            # S is within {u, w} or one of its four arc instances is a
+            # merged one, it is suppressed onto one merged instance each of
+            # (u, w) and (w, u), each carrying the one-vertex chain v.  u
+            # and w keep their degrees, so neither is pushed again.
+            nb = succ[v]
+            u = (nb & -nb).bit_length() - 1
+            w = nb.bit_length() - 1
+            if (terminals <= {u, w} or (u, v) in firsts or (v, u) in firsts
+                    or (v, w) in firsts or (w, v) in firsts):
+                continue
+            for x, y in ((u, w), (w, u)):
+                capacity.pop((x, v))
+                capacity.pop((v, x))
+                succ[x] = succ[x] ^ 1 << v | 1 << y
+                pred[x] = pred[x] ^ 1 << v | 1 << y
+                c = capacity.get((x, y), 0)
+                firsts.setdefault((x, y), [None] * c).append(v)
+                capacity[(x, y)] = c + 1
+            succ[v] = pred[v] = out_deg[v] = in_deg[v] = 0
+            after[v] = None
+            continue
         else:
             continue
         work.extend(x for x in ends if x not in terminals)
@@ -609,37 +665,20 @@ def _twin_group(capacity, succ, pred, terminals, s0) -> dict:
 
     Maps each vertex of a class of at least two members to its class (an
     ascending tuple).  The classes are the twin classes of the reduced
-    instance split into terminals and non-terminals, with s0 fixed and the
-    vertices the reduction removed left out; every permutation within each
-    class preserves the capacities, the terminal set and s0.
-
-    Twins share their successor and predecessor masks (open key) or those
-    masks with the vertex added (closed key), as `twin_partition` sets out.
-    Without parallel arcs the converse holds too, and no vertex shares a
-    key of each kind, so the classes are the keys' buckets; only with
-    parallel arcs does `twin_partition` check each swap.
+    instance (`twin_partition`) split into terminals and non-terminals,
+    with s0 fixed and the vertices the reduction removed left out; every
+    permutation within each class preserves the capacities, the terminal
+    set and s0.
     """
-    if max(capacity.values(), default=1) > 1:
-        classes = [side for cls in twin_partition(capacity, succ, pred)
-                   if succ[cls[0]]
-                   for side in ([v for v in cls if v in terminals],
-                                [v for v in cls if v not in terminals])]
-    else:
-        buckets = {}
-        for v in range(len(succ)):
-            if succ[v]:
-                own = 1 << v
-                side = v in terminals
-                buckets.setdefault((side, 0, succ[v], pred[v]), []).append(v)
-                buckets.setdefault((side, 1, succ[v] | own, pred[v] | own),
-                                   []).append(v)
-        classes = buckets.values()
     part = {}
-    for cls in classes:
-        cls = tuple(v for v in cls if v != s0)
-        if len(cls) > 1:
-            for v in cls:
-                part[v] = cls
+    for cls in twin_partition(capacity, succ, pred):
+        if len(cls) > 1 and succ[cls[0]]:
+            for side in ([v for v in cls if v in terminals and v != s0],
+                         [v for v in cls if v not in terminals]):
+                if len(side) > 1:
+                    side = tuple(side)
+                    for v in side:
+                        part[v] = side
     return part
 
 

@@ -20,12 +20,13 @@ from steinercycles import (
     validate_cycle,
     verify_packing,
 )
-from steinercycles.digraph import twin_partition
+from steinercycles.digraph import build_graph, twin_partition
 from steinercycles.families import make_family
+from steinercycles.gadgets import replacement_gadget
 from steinercycles.harness import eulerian_instances, planar_instances, \
     random_digraph, replacement_instances, symmetric_instances
 from steinercycles.packing import Nodes, _colex_subsets, _enumerate_cycles, \
-    _mask, cycle_pairs
+    _mask, _reduce_instance, cycle_pairs
 from helpers import (
     brute_max_packing,
     brute_min_packing,
@@ -278,6 +279,45 @@ def test_merged_instances_expand_after_the_original_arc():
     assert yes.packing.cycles == ((0, 1, 0), (0, 3, 4, 1, 0))
 
 
+def test_bidirected_path_vertex_is_kept_when_both_ends_hold_every_terminal():
+    # Suppressing 1 in 0 <-> 1 <-> 2 would merge it onto (0, 2) and (2, 0),
+    # whose 2-cycle expands to 0 1 2 1 0, no cycle at all; with S = {0, 2}
+    # it would count as a Steiner cycle, so the reduction keeps 1.
+    d = build_digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
+    (capacity, *_), chains, _ = _reduce_instance(d, frozenset({0, 2}))
+    assert capacity == Counter(d.arcs) and chains == ({}, {})
+    res = max_cycle_packing(d, {0, 2})
+    assert (res.value, res.certified, res.packing.cycles) == (0, True, ())
+    # With a third terminal the 2-cycle 0 2 0 is no Steiner cycle, and 1 is
+    # suppressed.
+    d = build_digraph(4, list(d.arcs) + [(0, 3), (3, 2)])
+    (capacity, *_), _, _ = _reduce_instance(d, frozenset({0, 2, 3}))
+    assert capacity == {(0, 2): 1, (2, 0): 1, (0, 3): 1, (3, 2): 1}
+    res = max_cycle_packing(d, {0, 2, 3})
+    assert (res.value, res.certified) == (1, True)
+    assert res.packing.cycles == ((0, 3, 2, 1, 0),)
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3])
+def test_replacement_gadget_reduces_to_its_graph_bidirected(copies):
+    # Every channel vertex of the replacement gadget sits on a bidirected
+    # path between two terminals, so the reduction leaves the source graph
+    # bidirected, each pair `copies` times; the witness expands back onto
+    # the channels, one channel vertex between any two terminals.
+    g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    out = replacement_gadget(g, copies)
+    (capacity, *_), _, bound = _reduce_instance(out.digraph, out.terminals)
+    assert capacity == {p: copies for (i, j) in g.edges
+                        for p in ((i, j), (j, i))}
+    assert bound == 2 * copies
+    res = packing_exists(out.digraph, out.terminals, copies)
+    assert res.exists and res.certified
+    assert verify_packing(res.packing)
+    for seq in res.packing.cycles:
+        assert len(seq) == 11
+        assert all(v < 5 for v in seq[::2]) and all(v >= 5 for v in seq[1::2])
+
+
 def test_packing_exists_both_answers():
     d = _bidirected(4)
     yes = packing_exists(d, {0, 1}, 3)
@@ -430,20 +470,21 @@ def _corpus_decisions(family, count):
 
 
 @pytest.mark.parametrize("family, count, total", [
-    ("replacement", 200, 10081), ("eulerian", 100, 8134),
-    ("planar", 50, 1882), ("symmetric", 100, 572)],
+    ("replacement", 200, 2407), ("eulerian", 100, 8134),
+    ("planar", 50, 1877), ("symmetric", 100, 539)],
     ids=["replacement", "eulerian", "planar", "symmetric"])
 def test_corpus_node_totals(family, count, total):
-    # The decisions of the benchmark's corpus workload, 20,669 nodes in all,
-    # so a rule that silently stops firing shows up here.  The two channel
-    # vertices of an edge of the replacement gadget are twins, so a root
-    # enumeration that walked every path would meet each Hamiltonian path
-    # of the source graph once per choice of channels: the root's skip of
-    # twin paths takes replacement from 19,840 nodes to 10,081.  Eulerian
-    # reads 9,153 when the residual cut's patience counts the forced
-    # vertices too.  Bounding a tight node's enumeration by its forced
-    # first arc, not just its output, took the totals from 10,093, 8,414,
-    # 2,248 and 573.
+    # The decisions of the benchmark's corpus workload, 12,957 nodes in all,
+    # so a rule that silently stops firing shows up here.  The reduction
+    # suppresses every channel vertex of the replacement gadget, a
+    # bidirected path's inner vertex, so its search runs on the source
+    # graph bidirected; with the channels kept, replacement read 10,081
+    # nodes (19,840 without the root's skip of twin paths, since the two
+    # channels of an edge are twins), planar 1,882 and symmetric 572.
+    # Eulerian reads 9,153 when the residual cut's patience counts the
+    # forced vertices too.  Bounding a tight node's enumeration by its
+    # forced first arc, not just its output, took the totals from 10,093,
+    # 8,414, 2,248 and 573.
     nodes = 0
     for d, terminals, size in _corpus_decisions(family, count):
         res = packing_exists(d, terminals, size)
@@ -464,12 +505,13 @@ def test_min_packing_number_decides_at_the_degree_bound_first():
 
 def test_min_packing_number_sweep_node_total():
     # The lambda-k tables of the benchmark's sweep: 2,860 nodes on the
-    # families and 3,492 on the random digraphs (3,105 and 3,520 while a
-    # tight node's enumeration was cut at its forced first arc only in its
-    # output; 3,983 and 6,152 before the scan ended with one decision with
-    # every vertex a terminal; the families read 3,128 while the root's
-    # enumerator kept walking the open twin paths after its group
-    # arrived).
+    # families and 3,481 on the random digraphs (the random ones read 3,492
+    # while the reduction kept a bidirected path's inner vertices; 3,105
+    # and 3,520 while a tight node's enumeration was cut at its forced
+    # first arc only in its output; 3,983 and 6,152 before the scan ended
+    # with one decision with every vertex a terminal; the families read
+    # 3,128 while the root's enumerator kept walking the open twin paths
+    # after its group arrived).
     tables = [(make_family(spec), k_max) for spec, k_max in (
         ("complete:5", 5), ("complete:6", 4), ("complete:7", 3),
         ("bipartite:3,4", 7), ("bipartite:3,5", 8), ("multipartite:2x3", 6))]
@@ -479,7 +521,7 @@ def test_min_packing_number_sweep_node_total():
         tables.append((d, d.vertex_count))
     total = sum(min_packing_number(d, k).nodes
                 for d, k_max in tables for k in range(2, k_max + 1))
-    assert total == 6352
+    assert total == 6341
 
 
 def test_packing_exists_refuses_a_size_that_is_not_an_integer():

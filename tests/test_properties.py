@@ -176,8 +176,11 @@ def _swap_preserves_arcs(d, r, v):
 
 
 @pytest.mark.deep
-@given(_twinned_multidigraphs())
-def test_twin_classes_are_exactly_the_swappable_pairs(d):
+@given(_twinned_multidigraphs(), st.booleans())
+def test_twin_classes_are_exactly_the_swappable_pairs(d, simple):
+    # Simple hosts are the ones whose buckets are taken without a check.
+    if simple:
+        d = build_digraph(d.vertex_count, sorted(set(d.arcs)))
     classes = twin_partition(*d.support()[:3])
     assert sorted(v for c in classes for v in c) == list(range(d.vertex_count))
     assert [c[0] for c in classes] == sorted(c[0] for c in classes)
@@ -192,8 +195,9 @@ def test_twin_group_is_every_swap_within_a_side(d, simple, data):
     # The group of a decision's root: on the reduced instance, two vertices
     # share a class exactly when both have arcs, neither is s0, both or
     # neither are terminals, and swapping them preserves every capacity.
-    # Simple hosts take the path that reads the classes off the mask
-    # buckets, though a suppression can still merge parallel arcs.
+    # Simple hosts take the path of `twin_partition` that reads the classes
+    # off the mask buckets, though a suppression can still merge parallel
+    # arcs.
     if simple:
         d = build_digraph(d.vertex_count, sorted(set(d.arcs)))
     terminals = frozenset(data.draw(st.sets(
@@ -560,22 +564,27 @@ def test_residual_cut_keeps_the_witness_on_twin_class_hosts(instance):
 @st.composite
 def _reducible_instances(draw):
     """Multidigraphs with parallel arcs onto which paths of fresh vertices
-    are grafted: chains between two vertices, dead ends (a path leaving a
-    vertex or entering it from nowhere) and cycles back to the start,
-    2-cycles among them.  A later path may start on an earlier one."""
+    are grafted: chains between two vertices, bidirected chains (u <->
+    fresh ... <-> v), dead ends (a path leaving a vertex or entering it
+    from nowhere) and cycles back to the start, 2-cycles among them.  A
+    later path may start on an earlier one."""
     n = draw(st.integers(2, 5))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
                                     st.integers(0, n - 1)), max_size=10))
     arcs = [(u, v) for (u, v) in pairs if u != v]
     for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(("chain", "out", "in", "cycle")))
+        kind = draw(st.sampled_from(("chain", "bichain", "out", "in",
+                                     "cycle")))
         u = draw(st.integers(0, n - 1))
         v = draw(st.integers(0, n - 1))
         fresh = list(range(n, n + draw(st.integers(1, 3))))
         n += len(fresh)
-        path = {"chain": [u] + fresh + [v], "out": [u] + fresh,
-                "in": fresh + [v], "cycle": [u] + fresh + [u]}[kind]
+        path = {"chain": [u] + fresh + [v], "bichain": [u] + fresh + [v],
+                "out": [u] + fresh, "in": fresh + [v],
+                "cycle": [u] + fresh + [u]}[kind]
         arcs += zip(path, path[1:])
+        if kind == "bichain":
+            arcs += zip(path[1:], path)
     terminals = draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=4))
     return build_digraph(n, arcs), frozenset(terminals)
 
@@ -600,12 +609,19 @@ def test_reduction_keeps_exactly_the_steiner_cycles(instance):
     assert in_deg == [sum(c for (u, v), c in capacity.items() if v == x)
                       for x in range(n)]
     assert bound == min(min(out_deg[s], in_deg[s]) for s in terminals)
-    # (a) At the fixpoint no surviving non-terminal is a dead end or passes
-    # a single arc instance through.
+    # (a) At the fixpoint no surviving non-terminal is a dead end, passes a
+    # single arc instance through, or is the inner vertex of a bidirected
+    # path between u and w on original arc instances with S not within
+    # {u, w}.
     for v in range(n):
         if v not in terminals and (out_deg[v] or in_deg[v]):
             assert out_deg[v] and in_deg[v], v
             assert (out_deg[v], in_deg[v]) != (1, 1), v
+            ends = {x for x in range(n) if succ[v] >> x & 1}
+            assert not (out_deg[v] == 2 == in_deg[v] and succ[v] == pred[v]
+                        and len(ends) == 2 and not terminals <= ends
+                        and not any(p in firsts for x in ends
+                                    for p in ((x, v), (v, x)))), v
     # Each merged arc instance stands for its own path of original arc
     # instances: its expansions together stay within the multiplicities.
     paths = {p: _expand_witness([p] * c, chains) for p, c in capacity.items()}
